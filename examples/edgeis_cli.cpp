@@ -185,26 +185,26 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
-    reg.gauge_set("mean_iou", r.summary.mean_iou);
-    reg.gauge_set("false_rate_strict", r.summary.false_rate_strict);
-    reg.gauge_set("false_rate_loose", r.summary.false_rate_loose);
-    reg.gauge_set("mean_latency_ms", r.summary.mean_latency_ms);
-    reg.gauge_set("p95_latency_ms", r.summary.p95_latency_ms);
-    reg.gauge_set("cpu_utilization", r.mean_cpu_utilization);
-    reg.gauge_set("battery_percent", r.battery_percent);
-    reg.counter_add("transmissions", r.transmissions);
-    reg.counter_add("tx_bytes", static_cast<double>(r.total_tx_bytes));
-    reg.counter_add("peak_memory_bytes",
-                    static_cast<double>(r.peak_memory_bytes));
+    reg.gauge_handle("mean_iou").set(r.summary.mean_iou);
+    reg.gauge_handle("false_rate_strict").set(r.summary.false_rate_strict);
+    reg.gauge_handle("false_rate_loose").set(r.summary.false_rate_loose);
+    reg.gauge_handle("mean_latency_ms").set(r.summary.mean_latency_ms);
+    reg.gauge_handle("p95_latency_ms").set(r.summary.p95_latency_ms);
+    reg.gauge_handle("cpu_utilization").set(r.mean_cpu_utilization);
+    reg.gauge_handle("battery_percent").set(r.battery_percent);
+    reg.counter_handle("transmissions").add(r.transmissions);
+    reg.counter_handle("tx_bytes").add(static_cast<double>(r.total_tx_bytes));
+    reg.counter_handle("peak_memory_bytes")
+        .add(static_cast<double>(r.peak_memory_bytes));
     if (eis_live != nullptr) {
       // The ledger counters, srtt/rto gauges and the staleness sketch
       // were streamed live through set_metrics during the run; only the
       // fields without live handles are filled from the health summary.
       const auto h = eis_live->link_health();
-      reg.counter_add("uplink_drops", h.uplink_drops);
-      reg.counter_add("downlink_drops", h.downlink_drops);
-      reg.gauge_set("time_in_degraded_ms", h.time_in_degraded_ms);
-      reg.gauge_set("rttvar_ms", h.rttvar_ms);
+      reg.counter_handle("uplink_drops").add(h.uplink_drops);
+      reg.counter_handle("downlink_drops").add(h.downlink_drops);
+      reg.gauge_handle("time_in_degraded_ms").set(h.time_in_degraded_ms);
+      reg.gauge_handle("rttvar_ms").set(h.rttvar_ms);
     }
     if (!reg.write_json(metrics_path)) {
       std::fprintf(stderr, "error: cannot write %s\n",

@@ -6,7 +6,6 @@
 
 #include "core/local_trackers.hpp"
 #include "encoding/tiles.hpp"
-#include "features/klt.hpp"
 #include "features/matcher.hpp"
 #include "net/link.hpp"
 #include "net/protocol.hpp"
@@ -383,7 +382,7 @@ void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
         missing.push_back(i);
       }
     }
-    const std::size_t bytes = net::wire_bytes(req);
+    const std::size_t bytes = net::Codec::wire_bytes(req);
     ++health_.resend_requests;
     bump(live_.resend_requests);
     if (tracer_ != nullptr) {
@@ -1028,52 +1027,12 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   }
   prev_frame_ms_ = now_ms;
 
-  // ---------------- Mobile front end: extract or KLT-track. --------------
-  // With klt_non_keyframes on, non-keyframe frames displace the previous
-  // frame's features by pyramidal KLT instead of re-running the full ORB
-  // extract. Keyframe-due frames, bootstrap, relocalization, and any frame
-  // whose predecessor's pyramid is unavailable fall back to extraction.
-  std::vector<feat::Feature> features;
-  bool features_tracked = false;
-  double frontend_ms = 0.0;
-  const bool klt_eligible =
-      config_.klt_non_keyframes && phase_ == Phase::kRunning &&
-      tracker_ != nullptr && !prev_features_.empty() &&
-      klt_prev_frame_ == frame.index - 1 && !klt_prev_pyr_.empty() &&
-      !tracker_->wants_fresh_features(frame.index);
-  if (klt_eligible) {
-    img::build_blurred_pyramid_into(
-        frame.intensity, orb_.options().pyramid_levels, klt_cur_pyr_);
-    std::vector<geom::Vec2> pts;
-    pts.reserve(prev_features_.size());
-    for (const auto& f : prev_features_) pts.push_back(f.kp.pixel);
-    const auto tracked = feat::track_features(klt_prev_pyr_, klt_cur_pyr_, pts);
-    features.reserve(pts.size());
-    for (std::size_t i = 0; i < tracked.size(); ++i) {
-      if (!tracked[i].ok) continue;
-      feat::Feature f = prev_features_[i];
-      f.kp.pixel = tracked[i].point;
-      features.push_back(f);
-    }
-    // Survival gate: heavy churn means the motion outran the solver
-    // window — re-detect rather than track a decimated feature set.
-    if (features.size() >= 24 && features.size() * 2 >= pts.size()) {
-      features_tracked = true;
-      frontend_ms = cost_model_.klt_track_base_ms +
-                    cost_model_.klt_track_us_per_feature *
-                        static_cast<double>(pts.size()) / 1000.0;
-      stage("klt_track", frontend_ms,
-            {{"tracked", features.size()}, {"attempted", pts.size()}});
-    }
-  }
-  if (!features_tracked) {
-    features = orb_.extract(frame.intensity);
-    if (config_.klt_non_keyframes) orb_.take_pyramid(klt_cur_pyr_);
-    frontend_ms = cost_model_.feature_extract_base_ms +
-                  cost_model_.feature_extract_us_per_feature *
-                      static_cast<double>(features.size()) / 1000.0;
-    stage("extract", frontend_ms, {{"features", features.size()}});
-  }
+  // ---------------- Mobile front end: ORB extraction. --------------------
+  std::vector<feat::Feature> features = orb_.extract(frame.intensity);
+  const double frontend_ms = cost_model_.feature_extract_base_ms +
+                             cost_model_.feature_extract_us_per_feature *
+                                 static_cast<double>(features.size()) / 1000.0;
+  stage("extract", frontend_ms, {{"features", features.size()}});
   double latency_ms = frontend_ms + cost_model_.render_ms;
 
   // ---------------- Bootstrap / await phases. ----------------------------
@@ -1149,7 +1108,7 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     just_initialized_ = false;
   }
   vo::FrameObservation obs =
-      tracker_->track(frame.index, std::move(features), features_tracked);
+      tracker_->track(frame.index, std::move(features));
   out.tracking_ok = obs.tracking_ok;
   if (!obs.tracking_ok) {
     rt::Log::debug(rt::LogSub::kCore,
@@ -1415,10 +1374,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     }
   }
   prev_features_ = obs.features;
-  if (config_.klt_non_keyframes) {
-    klt_prev_pyr_.swap(klt_cur_pyr_);
-    klt_prev_frame_ = frame.index;
-  }
   out.map_memory_bytes = map_.memory_bytes();
   out.mobile_latency_ms = latency_ms;
   out.rendered_masks = render_queue_.push_and_render(

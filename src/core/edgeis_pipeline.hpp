@@ -290,15 +290,6 @@ class EdgeISPipeline : public Pipeline {
   int init_pose_frame_ = 0;
   std::vector<segnet::InferenceStats> edge_stats_;
 
-  // KLT front-end state (config_.klt_non_keyframes): pyramids of the
-  // previous and current frame, swapped each frame so the buffers are
-  // reused. `klt_prev_frame_` guards against stale pyramids across
-  // bootstrap returns and tracker resets — KLT only engages when the
-  // stored pyramid belongs to the immediately preceding frame.
-  std::vector<img::GrayImage> klt_prev_pyr_;
-  std::vector<img::GrayImage> klt_cur_pyr_;
-  int klt_prev_frame_ = -1000;
-
   // Fallback local tracking state for the MAMT-off ablation and for the
   // per-object continuity fallback.
   std::vector<feat::Feature> prev_features_;

@@ -150,11 +150,11 @@ FleetResult run_fleet(const FleetConfig& config, rt::Tracer* tracer) {
     if (config.metrics != nullptr) {
       char key[64];
       std::snprintf(key, sizeof(key), "client%03zu.slo_violations", ci);
-      config.metrics->gauge_set(key, r.slo.violations);
+      config.metrics->gauge_handle(key).set(r.slo.violations);
       std::snprintf(key, sizeof(key), "client%03zu.stale_ms", ci);
-      config.metrics->gauge_set(key, r.slo.stale_ms);
+      config.metrics->gauge_handle(key).set(r.slo.stale_ms);
       std::snprintf(key, sizeof(key), "client%03zu.degraded_ms", ci);
-      config.metrics->gauge_set(key, r.slo.degraded_ms);
+      config.metrics->gauge_handle(key).set(r.slo.degraded_ms);
     }
     for (double x : r.run.evaluator.iou_samples().samples()) {
       pooled_iou.add(x);
@@ -183,12 +183,11 @@ FleetResult run_fleet(const FleetConfig& config, rt::Tracer* tracer) {
           ? static_cast<double>(stale) / static_cast<double>(staleness_samples)
           : 0.0;
   if (config.metrics != nullptr) {
-    config.metrics->gauge_set("slo_violations", out.slo.violations);
-    config.metrics->gauge_set("stale_rate", out.stale_rate);
+    config.metrics->gauge_handle("slo_violations").set(out.slo.violations);
+    config.metrics->gauge_handle("stale_rate").set(out.stale_rate);
     out.metrics_memory_bytes = config.metrics->approx_memory_bytes();
-    config.metrics->gauge_set(
-        "metrics_memory_bytes",
-        static_cast<double>(out.metrics_memory_bytes));
+    config.metrics->gauge_handle("metrics_memory_bytes")
+        .set(static_cast<double>(out.metrics_memory_bytes));
   }
   if (tracer != nullptr) tracer->set_sink(nullptr);
   return out;

@@ -1,12 +1,13 @@
 // Named metrics registry: monotonically increasing counters, last-value
-// gauges, and bounded-memory histograms. Counters and gauges can be
-// pre-registered once (counter_handle / gauge_handle) so hot paths bump a
-// stable reference instead of re-hashing a string key per event; the
-// histogram backend is a P²/reservoir quantile sketch (QuantileSketch), so
-// a 1000-client fleet run costs O(clients · metrics) memory instead of
-// O(samples). A snapshot exports to JSON (edgeis_cli --metrics) and parses
-// back (MetricsSnapshot::parse_json) — including non-finite values, written
-// as the NaN/Infinity literals Python's json module round-trips — so
+// gauges, and bounded-memory histograms. Every metric is reached through
+// a pointer-stable handle (counter_handle / gauge_handle / sketch_handle):
+// one lookup registers it, and hot paths keep the reference instead of
+// re-hashing a string key per event. The histogram backend is a
+// P²/reservoir quantile sketch (QuantileSketch), so a 1000-client fleet
+// run costs O(clients · metrics) memory instead of O(samples). A snapshot
+// exports to JSON (edgeis_cli --metrics) and parses back
+// (MetricsSnapshot::parse_json) — including non-finite values, written as
+// the NaN/Infinity literals Python's json module round-trips — so
 // harnesses and tests can compare the numbers without an external JSON
 // dependency.
 #pragma once
@@ -310,17 +311,6 @@ class MetricsRegistry {
   Gauge& gauge_handle(const std::string& name) { return gauges_[name]; }
   QuantileSketch& sketch_handle(const std::string& name) {
     return histograms_.try_emplace(name, sketch_capacity_).first->second;
-  }
-
-  void counter_add(const std::string& name, double delta = 1.0) {
-    counters_[name].add(delta);
-  }
-  void gauge_set(const std::string& name, double value) {
-    gauges_[name].set(value);
-  }
-  void observe(const std::string& name, double sample) {
-    histograms_.try_emplace(name, sketch_capacity_)
-        .first->second.add(sample);
   }
 
   [[nodiscard]] double counter(const std::string& name) const {

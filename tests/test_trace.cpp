@@ -242,12 +242,12 @@ TEST(TraceRun, RtoCounterSeriesEmitted) {
 
 TEST(Metrics, SnapshotJsonRoundTrip) {
   rt::MetricsRegistry reg;
-  reg.counter_add("requests_sent", 13);
-  reg.counter_add("requests_sent", 2);
-  reg.gauge_set("srtt_ms", 412.625);
-  reg.gauge_set("weird \"name\"", -0.5);
+  reg.counter_handle("requests_sent").add(13);
+  reg.counter_handle("requests_sent").add(2);
+  reg.gauge_handle("srtt_ms").set(412.625);
+  reg.gauge_handle("weird \"name\"").set(-0.5);
   for (int i = 1; i <= 100; ++i) {
-    reg.observe("staleness_ms", static_cast<double>(i));
+    reg.sketch_handle("staleness_ms").add(static_cast<double>(i));
   }
 
   const std::string json = reg.to_json();
@@ -285,9 +285,9 @@ TEST(Metrics, EmptyRegistryRoundTrips) {
 
 TEST(Metrics, NonFiniteValuesRoundTripAsPythonLiterals) {
   rt::MetricsRegistry reg;
-  reg.gauge_set("nan", std::nan(""));
-  reg.gauge_set("pinf", std::numeric_limits<double>::infinity());
-  reg.gauge_set("ninf", -std::numeric_limits<double>::infinity());
+  reg.gauge_handle("nan").set(std::nan(""));
+  reg.gauge_handle("pinf").set(std::numeric_limits<double>::infinity());
+  reg.gauge_handle("ninf").set(-std::numeric_limits<double>::infinity());
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"nan\": NaN"), std::string::npos);
   EXPECT_NE(json.find("\"pinf\": Infinity"), std::string::npos);
@@ -322,7 +322,7 @@ TEST(Metrics, ParseRejectsEdgeCaseMalformations) {
 
 TEST(Metrics, EmptyHistogramSectionWithPopulatedSiblings) {
   rt::MetricsRegistry reg;
-  reg.counter_add("n", 3);
+  reg.counter_handle("n").add(3);
   const auto parsed = rt::MetricsSnapshot::parse_json(reg.to_json());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->counters.at("n"), 3.0);
@@ -340,7 +340,7 @@ TEST(Metrics, FuzzedRegistriesRoundTripExactly) {
     for (int i = 0; i < nc; ++i) {
       std::string cname = "c";
       cname += std::to_string(rng.uniform_int(6));
-      reg.counter_add(cname, std::floor(rng.uniform(0.0, 1e6)));
+      reg.counter_handle(cname).add(std::floor(rng.uniform(0.0, 1e6)));
     }
     const int ng = static_cast<int>(rng.uniform_int(8));
     for (int i = 0; i < ng; ++i) {
@@ -351,14 +351,16 @@ TEST(Metrics, FuzzedRegistriesRoundTripExactly) {
       if (kind == 2) v = -std::numeric_limits<double>::infinity();
       std::string gname = "g\"\\";
       gname += std::to_string(rng.uniform_int(6));
-      reg.gauge_set(gname, v);
+      reg.gauge_handle(gname).set(v);
     }
     const int nh = static_cast<int>(rng.uniform_int(3));
     for (int i = 0; i < nh; ++i) {
       std::string name = "h";
       name += std::to_string(i);
       const int ns = static_cast<int>(rng.uniform_int(200));
-      for (int s = 0; s < ns; ++s) reg.observe(name, rng.normal(0.0, 1e4));
+      for (int s = 0; s < ns; ++s) {
+        reg.sketch_handle(name).add(rng.normal(0.0, 1e4));
+      }
     }
 
     const auto want = reg.snapshot();
@@ -392,14 +394,14 @@ TEST(Metrics, HandlesAliasStringApisAndStayStable) {
   rt::Gauge& g = reg.gauge_handle("level");
   rt::QuantileSketch& h = reg.sketch_handle("lat");
   c.add();
-  reg.counter_add("hits", 2.0);  // same underlying cell as the handle
+  reg.counter_handle("hits").add(2.0);  // same underlying cell as the handle
   g.set(7.5);
   h.add(3.0);
-  reg.observe("lat", 5.0);
+  reg.sketch_handle("lat").add(5.0);
   // Map nodes are stable: spraying more registrations must not move the
   // handles.
   for (int i = 0; i < 100; ++i) {
-    reg.counter_add("other" + std::to_string(i));
+    reg.counter_handle("other" + std::to_string(i)).add();
   }
   c.add();
   EXPECT_EQ(reg.counter("hits"), 4.0);

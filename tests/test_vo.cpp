@@ -223,3 +223,37 @@ TEST(Tracker, UnlabeledFractionDropsAfterAnnotation) {
   // With every keyframe annotated, most matched points are labeled.
   EXPECT_LT(last_unlabeled, 0.5);
 }
+
+TEST(Tracker, KeyframeCadenceHoldsWhileTracking) {
+  // With fresh extraction on every frame, a keyframe forms as soon as one
+  // is due and tracking holds: two consecutive keyframes separated by
+  // tracked frames only are at most keyframe_interval apart.
+  VoFixture fx;
+  ASSERT_TRUE(fx.init_result.has_value());
+  const TrackerOptions opts;
+  Tracker tracker(fx.cfg.camera, &fx.map, fx.rng.fork(), opts);
+  tracker.set_initial_poses(fx.init_result->t_cw1, fx.init_result->t_cw1);
+  int last_keyframe = fx.map.keyframes().back().frame_index;
+  bool tracked_since_keyframe = true;
+  int keyframes = 0;
+  for (int i = 21; i <= 80; ++i) {
+    auto frame = fx.sim.render(i);
+    auto obs = tracker.track(i, fx.orb.extract(frame.intensity));
+    if (!obs.tracking_ok) {
+      EXPECT_FALSE(obs.created_keyframe) << "frame " << i;
+      tracked_since_keyframe = false;
+      continue;
+    }
+    if (obs.created_keyframe) {
+      if (tracked_since_keyframe) {
+        EXPECT_LE(i - last_keyframe, opts.keyframe_interval) << "frame " << i;
+      }
+      ++keyframes;
+      last_keyframe = i;
+      tracked_since_keyframe = true;
+    } else if (tracked_since_keyframe) {
+      EXPECT_LT(i - last_keyframe, opts.keyframe_interval) << "frame " << i;
+    }
+  }
+  EXPECT_GE(keyframes, 2);
+}
