@@ -14,7 +14,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/edge_server.hpp"
@@ -38,7 +37,6 @@ class PureMobilePipeline : public Pipeline {
  private:
   scene::SceneConfig scene_config_;
   PipelineConfig config_;
-  std::unordered_map<int, int> instance_class_;
   segnet::SegmentationModel model_;
   rt::Rng rng_;
   rt::Tracer* tracer_ = nullptr;
@@ -64,14 +62,10 @@ class TrackDetectPipeline : public Pipeline {
   }
 
  private:
-  std::vector<segnet::OracleInstance> build_oracle(
-      const scene::RenderedFrame& frame) const;
-
   scene::SceneConfig scene_config_;
   PipelineConfig config_;
   TrackDetectPolicy policy_;
   bool best_effort_motion_vector_;
-  std::unordered_map<int, int> instance_class_;
   rt::Tracer* tracer_ = nullptr;
 
   feat::OrbExtractor orb_;

@@ -26,72 +26,31 @@ void EdgeServer::submit(int frame_index, double sent_ms, double transmit_ms,
   }
 }
 
-void EdgeServer::submit_streamed(int frame_index, double sent_ms,
+void EdgeServer::submit_keyframe(int frame_index, double sent_ms,
                                  std::size_t bytes,
                                  const segnet::InferenceRequest& request,
-                                 int attempt) {
+                                 int attempt, const CanvasUpload& canvas) {
   const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
   net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
                       out.slot.transit_ms, bytes, out.fate, frame_index,
                       attempt, out.duplicate_transit_ms,
                       out.slot.queue_wait_ms);
   if (out.fate.drop) return;
-  if (gpu_ != nullptr) {
-    enqueue_gpu(frame_index, out.deliver_ms, request, attempt);
-    if (out.fate.duplicate) {
-      enqueue_gpu(frame_index, out.duplicate_deliver_ms, request, attempt);
-    }
-    return;
-  }
-  run_inference(frame_index, out.deliver_ms, request, attempt,
-                /*streamed=*/true);
-  if (out.fate.duplicate) {
-    run_inference(frame_index, out.duplicate_deliver_ms, request, attempt,
-                  /*streamed=*/true);
-  }
-}
-
-void EdgeServer::submit_canvas_full(int frame_index, double sent_ms,
-                                    std::size_t bytes,
-                                    const segnet::InferenceRequest& request,
-                                    int attempt,
-                                    const enc::EncodedFrame& encoded,
-                                    std::uint32_t epoch) {
-  const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
-                      attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
+  const auto* full = std::get_if<CanvasFull>(&canvas);
+  const auto* delta = std::get_if<enc::CanvasDelta>(&canvas);
   const int copies = out.fate.duplicate ? 2 : 1;
   for (int copy = 0; copy < copies; ++copy) {
     const double at = copy == 0 ? out.deliver_ms : out.duplicate_deliver_ms;
-    // A full keyframe unconditionally (re)seeds the canvas — re-applying
-    // a duplicated copy at the same epoch is idempotent.
-    canvas_.apply_full(encoded, epoch);
-    if (gpu_ != nullptr) {
-      enqueue_gpu(frame_index, at, request, attempt);
-    } else {
-      run_inference(frame_index, at, request, attempt, /*streamed=*/true);
+    if (full != nullptr) {
+      // A full keyframe unconditionally (re)seeds the canvas — re-applying
+      // a duplicated copy at the same epoch is idempotent.
+      canvas_.apply_full(full->encoded, full->epoch);
     }
-  }
-}
-
-void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
-                                     std::size_t bytes,
-                                     const segnet::InferenceRequest& request,
-                                     int attempt,
-                                     const enc::CanvasDelta& delta) {
-  const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
-                      attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
-  const int copies = out.fate.duplicate ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    const double at = copy == 0 ? out.deliver_ms : out.duplicate_deliver_ms;
-    const auto applied = canvas_.apply_delta(delta);
+    if (delta == nullptr) {
+      dispatch(frame_index, at, request, attempt);
+      continue;
+    }
+    const auto applied = canvas_.apply_delta(*delta);
     if (applied.status == enc::CanvasApplyStatus::kApplied ||
         applied.status == enc::CanvasApplyStatus::kDuplicate) {
       // Reconstruction succeeded: unsent tiles came from the warped
@@ -107,12 +66,7 @@ void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
       }
       segnet::InferenceRequest reconstructed = request;
       reconstructed.content_quality = applied.content_quality;
-      if (gpu_ != nullptr) {
-        enqueue_gpu(frame_index, at, reconstructed, attempt);
-      } else {
-        run_inference(frame_index, at, reconstructed, attempt,
-                      /*streamed=*/true);
-      }
+      dispatch(frame_index, at, reconstructed, attempt);
       continue;
     }
     // Cold canvas or epoch mismatch: the edge cannot faithfully
@@ -125,7 +79,7 @@ void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
           rt::track::kEdge, "canvas_resync", at,
           {{"frame", frame_index},
            {"attempt", attempt},
-           {"base_epoch", static_cast<int>(delta.base_epoch)},
+           {"base_epoch", static_cast<int>(delta->base_epoch)},
            {"canvas_epoch", static_cast<int>(canvas_.epoch())},
            {"cold", applied.status == enc::CanvasApplyStatus::kCold},
            {"session", session_id_}});
@@ -138,6 +92,17 @@ void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
     r.ready_ms = at + 0.3;
     r.payload_bytes = 32;
     completed_.push_back(std::move(r));
+  }
+}
+
+void EdgeServer::dispatch(int frame_index, double arrive_ms,
+                          const segnet::InferenceRequest& request,
+                          int attempt) {
+  if (gpu_ != nullptr) {
+    enqueue_gpu(frame_index, arrive_ms, request, attempt);
+  } else {
+    run_inference(frame_index, arrive_ms, request, attempt,
+                  /*streamed=*/true);
   }
 }
 

@@ -3,18 +3,22 @@
 // Pipelines submit inference requests stamped with their uplink arrival
 // time and poll for responses; downlink latency is applied by the caller.
 //
-// Two submission surfaces coexist. The legacy half-duplex `submit` returns
-// one monolithic response per request (the baselines' model). The
-// full-duplex `submit_streamed` admits the request through the caller-
-// visible uplink SendQueue and answers with one response *chunk per
-// finished instance mask*, in head/mask-head completion order, so the
-// mobile side can apply whatever arrived by its frame deadline. Completed
-// results are cached so `submit_resend` can re-emit only the chunks a
-// partial receiver is missing, without re-running inference.
+// Four submission surfaces remain:
+//  - `submit`: the baselines' half-duplex path, one monolithic response
+//    per request.
+//  - `submit_keyframe`: edgeIS's full-duplex keyframe upload. The request
+//    is admitted through the caller-visible uplink SendQueue and answered
+//    with one response *chunk per finished instance mask*, in mask-head
+//    completion order, so the mobile side can apply whatever arrived by
+//    its frame deadline. An optional canvas payload (full seed or delta)
+//    updates this session's reconstruction canvas first.
+//  - `submit_resend`: re-emit only the chunks a partial receiver is
+//    missing, from the result cache, without re-running inference.
+//  - `submit_ping`: a liveness probe for degraded-mode recovery.
 //
 // For multi-client fleets, any number of servers (one per client session:
 // its own ledger state, result cache and fault script) can attach to one
-// shared EdgeGpu. The GPU front-ends the streamed surface with an
+// shared EdgeGpu. The GPU front-ends the keyframe surface with an
 // admission gate (bounded queue, explicit busy responses) and fuses
 // concurrent keyframes into batched CIIA passes, collected round-robin
 // across sessions. A fleet of one is bit-identical to the private path.
@@ -23,6 +27,7 @@
 #include <deque>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "encoding/canvas.hpp"
@@ -43,7 +48,7 @@ class EdgeServer {
   /// `uplink_faults` (default: none) is consulted for every arriving
   /// message, so every pipeline that talks to this server — edgeIS and the
   /// baselines alike — faces the same uplink behaviour. `uplink_queue`
-  /// (used only by the streamed surface) models the mobile side's
+  /// (used by every surface except `submit`) models the mobile side's
   /// transmission-module serializer: messages admitted while an earlier
   /// one is still going onto the wire wait head-of-line.
   EdgeServer(segnet::ModelProfile model, sim::DeviceProfile device,
@@ -95,31 +100,31 @@ class EdgeServer {
               const segnet::InferenceRequest& request, int attempt = 0,
               std::size_t bytes = 0);
 
-  /// Full-duplex submission: the request enters the uplink send queue at
-  /// `sent_ms` (head-of-line wait + per-message transit computed by the
-  /// queue) and the response comes back as one chunk per instance, each
-  /// ready as its mask leaves the mask head. The completed result is
+  /// A full keyframe that (re)seeds this session's canvas at `epoch`.
+  struct CanvasFull {
+    enc::EncodedFrame encoded;
+    std::uint32_t epoch = 0;
+  };
+  /// What a keyframe upload carries for the canvas: nothing (full-frame
+  /// uplink mode), a full seed, or a delta against the current epoch.
+  using CanvasUpload =
+      std::variant<std::monostate, CanvasFull, enc::CanvasDelta>;
+
+  /// Full-duplex keyframe submission: the request enters the uplink send
+  /// queue at `sent_ms` (head-of-line wait + per-message transit computed
+  /// by the queue) and the response comes back as one chunk per instance,
+  /// each ready as its mask leaves the mask head. The completed result is
   /// cached for `submit_resend`.
-  void submit_streamed(int frame_index, double sent_ms, std::size_t bytes,
-                       const segnet::InferenceRequest& request,
-                       int attempt = 0);
-
-  /// Full-keyframe submission that also (re)seeds this session's canvas:
-  /// every delivered copy installs `encoded`'s tile grid at `epoch`
-  /// before inference proceeds exactly as in `submit_streamed`.
-  void submit_canvas_full(int frame_index, double sent_ms, std::size_t bytes,
-                          const segnet::InferenceRequest& request, int attempt,
-                          const enc::EncodedFrame& encoded,
-                          std::uint32_t epoch);
-
-  /// Delta submission: the edge reconstructs the frame from its canvas
-  /// (warp + sent tiles), re-deriving the request's content quality from
-  /// the post-apply canvas state. An epoch mismatch or cold canvas
-  /// produces a small `canvas_resync` response instead of inference — the
-  /// edge never segments a frame it cannot faithfully reconstruct.
-  void submit_canvas_delta(int frame_index, double sent_ms, std::size_t bytes,
-                           const segnet::InferenceRequest& request,
-                           int attempt, const enc::CanvasDelta& delta);
+  ///
+  /// Every delivered copy first applies `canvas`. A full seed installs
+  /// its tile grid unconditionally. A delta is reconstructed from the
+  /// canvas (warp + sent tiles), and the model sees the post-apply content
+  /// quality; an epoch mismatch or cold canvas produces a small
+  /// `canvas_resync` response instead of inference, so the edge never
+  /// segments a frame it cannot faithfully reconstruct.
+  void submit_keyframe(int frame_index, double sent_ms, std::size_t bytes,
+                       const segnet::InferenceRequest& request, int attempt,
+                       const CanvasUpload& canvas = {});
 
   /// Install the canvas policy (tile aging/decay) for this session.
   void configure_canvas(const enc::CanvasOptions& opts) {
@@ -147,8 +152,8 @@ class EdgeServer {
   /// heads incl. RoI pruning). Non-owning.
   void set_tracer(rt::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach this server's streamed surface to a shared multi-client GPU:
-  /// subsequent streamed submissions queue on the GPU (admission gate,
+  /// Attach this server's keyframe surface to a shared multi-client GPU:
+  /// subsequent keyframe submissions queue on the GPU (admission gate,
   /// batched dispatch) instead of the private FIFO. The legacy half-duplex
   /// `submit` surface is unaffected. Non-owning; attach before the first
   /// submission. Pass nullptr to detach.
@@ -194,6 +199,10 @@ class EdgeServer {
   void run_inference(int frame_index, double arrive_ms,
                      const segnet::InferenceRequest& request, int attempt,
                      bool streamed);
+  /// Hand one arrived keyframe request to the shared GPU when attached,
+  /// else to the private FIFO.
+  void dispatch(int frame_index, double arrive_ms,
+                const segnet::InferenceRequest& request, int attempt);
   /// Route one arrived streamed request through the shared GPU: reject at
   /// the admission gate (before any model evaluation) or evaluate the
   /// model now — per-session RNG draws stay in submission order no matter
@@ -236,7 +245,7 @@ class EdgeServer {
 /// semantics: an unbounded queue never rejects, and a single session can
 /// never form a batch larger than one.
 struct GpuConfig {
-  /// Admission gate: a streamed request arriving while this many requests
+  /// Admission gate: a keyframe request arriving while this many requests
   /// are already queued (across every session) is refused with an
   /// explicit busy response instead of being admitted. 0 = unbounded.
   int admission_queue_limit = 0;

@@ -38,9 +38,6 @@ EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
       downlink_queue_(config_.link, rt::Rng(config_.seed ^ 0xd0171ULL)),
       rto_(config_.rto, 2.0 * config_.link.base_latency_ms +
                             config_.rto.initial_compute_guess_ms) {
-  for (const auto& obj : scene_config_.objects) {
-    instance_class_[obj.instance_id] = static_cast<int>(obj.cls);
-  }
   uplink_encoder_ = enc::make_uplink_encoder(config_.encoding);
   edge_.configure_canvas(config_.encoding.canvas);
 }
@@ -73,24 +70,6 @@ void EdgeISPipeline::set_metrics(rt::MetricsRegistry* metrics) {
   live_.srtt_ms = &metrics->gauge_handle("srtt_ms");
   live_.rto_ms = &metrics->gauge_handle("rto_ms");
   live_.mask_staleness_ms = &metrics->sketch_handle("mask_staleness_ms");
-}
-
-std::vector<segnet::OracleInstance> EdgeISPipeline::build_oracle(
-    const scene::RenderedFrame& frame) const {
-  std::vector<segnet::OracleInstance> oracle;
-  for (const auto& [instance_id, class_id] : instance_class_) {
-    auto m = mask::mask_from_id_image(frame.instance_ids,
-                                      static_cast<std::uint16_t>(instance_id));
-    if (m.pixel_count() == 0) continue;
-    m.class_id = class_id;
-    segnet::OracleInstance oi;
-    oi.box = *m.bounding_box();
-    oi.class_id = class_id;
-    oi.instance_id = instance_id;
-    oi.mask = std::move(m);
-    oracle.push_back(std::move(oi));
-  }
-  return oracle;
 }
 
 void EdgeISPipeline::deliver_due_responses(double now_ms) {
@@ -165,7 +144,7 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
       ++health_.canvas_resyncs;
       bump(live_.canvas_resyncs);
       rto_.reset_backoff();
-      if (uplink_encoder_ != nullptr) uplink_encoder_->mark_diverged();
+      uplink_encoder_->mark_diverged();
       if (phase_ == Phase::kRunning) force_refresh_ = true;
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "canvas_resync", now_ms,
@@ -404,42 +383,24 @@ void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
     if (!edge_.submit_resend(e.frame_index, now_ms, bytes, missing,
                              e.attempt)) {
       // Result cache miss (should not happen once a chunk arrived):
-      // fall back to a full retransmission.
-      edge_.submit_streamed(e.frame_index, now_ms, e.bytes, e.request,
+      // fall back to a full retransmission, without a canvas payload.
+      edge_.submit_keyframe(e.frame_index, now_ms, e.bytes, e.request,
                             e.attempt);
     }
   } else {
     if (tracer_ != nullptr) {
-      if (e.uplink_kind == UplinkKind::kLegacy) {
-        tracer_->instant(rt::track::kLedger, "send", now_ms,
-                         {{"request", e.request_id},
-                          {"attempt", e.attempt},
-                          {"bytes", e.bytes},
-                          {"ping", false}});
-      } else {
-        tracer_->instant(rt::track::kLedger, "send", now_ms,
-                         {{"request", e.request_id},
-                          {"attempt", e.attempt},
-                          {"bytes", e.bytes},
-                          {"ping", false},
-                          {"delta",
-                           e.uplink_kind == UplinkKind::kCanvasDelta}});
+      rt::TraceArgs args = {{"request", e.request_id},
+                            {"attempt", e.attempt},
+                            {"bytes", e.bytes},
+                            {"ping", false}};
+      if (!std::holds_alternative<std::monostate>(e.canvas)) {
+        args.emplace_back("delta",
+                          std::holds_alternative<enc::CanvasDelta>(e.canvas));
       }
+      tracer_->instant(rt::track::kLedger, "send", now_ms, std::move(args));
     }
-    switch (e.uplink_kind) {
-      case UplinkKind::kLegacy:
-        edge_.submit_streamed(e.frame_index, now_ms, e.bytes, e.request,
-                              e.attempt);
-        break;
-      case UplinkKind::kCanvasFull:
-        edge_.submit_canvas_full(e.frame_index, now_ms, e.bytes, e.request,
-                                 e.attempt, e.canvas_full, e.canvas_epoch);
-        break;
-      case UplinkKind::kCanvasDelta:
-        edge_.submit_canvas_delta(e.frame_index, now_ms, e.bytes, e.request,
-                                  e.attempt, e.canvas_delta);
-        break;
-    }
+    edge_.submit_keyframe(e.frame_index, now_ms, e.bytes, e.request,
+                          e.attempt, e.canvas);
   }
   e.sent_ms = now_ms;
   e.deadline_ms = now_ms + rto_.rto_ms();
@@ -520,8 +481,7 @@ void EdgeISPipeline::service_ledger(double now_ms) {
         bump(live_.requests_failed);
         // A dead canvas upload may or may not have reached the edge; the
         // mirror can no longer be trusted to match — force a full resync.
-        if (e.uplink_kind != UplinkKind::kLegacy &&
-            uplink_encoder_ != nullptr) {
+        if (!std::holds_alternative<std::monostate>(e.canvas)) {
           uplink_encoder_->mark_diverged();
         }
         if (e.is_init) init_failed = true;
@@ -572,8 +532,7 @@ void EdgeISPipeline::service_ledger(double now_ms) {
         e.resend_at_ms = -1.0;
         // No further retransmissions: whether this canvas upload made it
         // to the edge is unknowable, so the delta chain must restart.
-        if (e.uplink_kind != UplinkKind::kLegacy &&
-            uplink_encoder_ != nullptr) {
+        if (!std::holds_alternative<std::monostate>(e.canvas)) {
           uplink_encoder_->mark_diverged();
         }
         if (tracer_ != nullptr) {
@@ -844,7 +803,7 @@ std::size_t EdgeISPipeline::transmit(
   segnet::InferenceRequest req;
   req.width = cam.width;
   req.height = cam.height;
-  req.oracle = build_oracle(frame);
+  req.oracle = ground_truth_oracle(scene_config_, frame);
   req.content_quality = plan.content_quality;
   if (config_.enable_ciia && !full_frame_refresh_) {
     for (const auto& p : priors) {
@@ -909,8 +868,7 @@ std::size_t EdgeISPipeline::transmit(
       msg.priors = wire_priors;
       msg.new_areas = wire_areas;
       entry.bytes = net::Codec::wire_bytes(msg);
-      entry.uplink_kind = UplinkKind::kCanvasDelta;
-      entry.canvas_delta = plan.delta;
+      entry.canvas = std::move(plan.delta);
       ++health_.canvas_deltas;
       bump(live_.canvas_deltas);
       health_.canvas_tiles_sent += plan.tiles_sent;
@@ -920,9 +878,8 @@ std::size_t EdgeISPipeline::transmit(
           net::build_keyframe_message(plan.encoded, wire_priors, wire_areas);
       msg.canvas_epoch = plan.epoch;
       entry.bytes = net::Codec::wire_bytes(msg);
-      entry.uplink_kind = UplinkKind::kCanvasFull;
-      entry.canvas_full = plan.encoded;
-      entry.canvas_epoch = plan.epoch;
+      entry.canvas = EdgeServer::CanvasFull{std::move(plan.encoded),
+                                            plan.epoch};
       ++health_.canvas_full_keyframes;
       health_.canvas_tiles_sent += plan.tiles_sent;
     }
@@ -1040,13 +997,15 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     if (!init_ref_ ||
         frame.index - init_ref_->frame_index > bootstrap_reset_interval_) {
       init_ref_ = StoredFrame{frame.index, frame.intensity, features,
-                              build_oracle(frame), std::nullopt};
+                              ground_truth_oracle(scene_config_, frame),
+                              std::nullopt};
       probe_mid_.reset();
     } else if (!degraded_ && frame.index - init_ref_->frame_index >= 20 &&
                pair_geometry_ok(*init_ref_, frame.index, frame.intensity,
                                 features)) {
-      init_pair_second_ = StoredFrame{frame.index, frame.intensity, features,
-                                      build_oracle(frame), std::nullopt};
+      init_pair_second_ = StoredFrame{
+          frame.index, frame.intensity, features,
+          ground_truth_oracle(scene_config_, frame), std::nullopt};
       // Send both chosen frames to the edge for accurate masks
       // (Section III-A), full quality: annotation precision matters most.
       // Each goes through the ledger: a lost init annotation times out and
@@ -1132,7 +1091,7 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     ledger_.clear();  // in-flight responses would land in a dead map
     // Any canvas upload that was in flight is now unaccounted for: the
     // mirror may disagree with the edge, so restart the delta chain.
-    if (uplink_encoder_ != nullptr) uplink_encoder_->mark_diverged();
+    uplink_encoder_->mark_diverged();
     force_refresh_ = false;
     init_ref_.reset();
     init_pair_second_.reset();
@@ -1229,8 +1188,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
         const auto mv = motion_vector(prev_features_, obs.features, matches,
                                       m);
         if (mv) {
-          m = translate_mask(m, static_cast<int>(std::lround(mv->x)),
-                             static_cast<int>(std::lround(mv->y)));
+          m = m.translated(static_cast<int>(std::lround(mv->x)),
+                           static_cast<int>(std::lround(mv->y)));
         }
       }
       latency_ms += 2.0;  // motion-vector estimation cost

@@ -101,11 +101,6 @@ class EdgeISPipeline : public Pipeline {
     EdgeServer::Response response;
   };
 
-  /// How a keyframe entry goes onto the uplink. kLegacy is the pre-canvas
-  /// streamed path; the canvas kinds route through the edge server's
-  /// canvas surfaces and carry the payload needed to retransmit.
-  enum class UplinkKind { kLegacy, kCanvasFull, kCanvasDelta };
-
   /// One outstanding request. Kept until its response is matched or every
   /// retry is exhausted; `request` is retained for retransmission.
   struct LedgerEntry {
@@ -126,13 +121,11 @@ class EdgeISPipeline : public Pipeline {
     double resend_at_ms = -1.0;  // >= 0: waiting out the backoff
     std::size_t bytes = 0;
     segnet::InferenceRequest request;
-    // Canvas uplink payloads (UplinkKind != kLegacy): what a retransmitted
-    // attempt must re-submit. A retransmitted delta re-applies cleanly —
-    // the canvas treats a same-epoch re-apply as a duplicate.
-    UplinkKind uplink_kind = UplinkKind::kLegacy;
-    enc::EncodedFrame canvas_full;
-    enc::CanvasDelta canvas_delta;
-    std::uint32_t canvas_epoch = 0;
+    // Canvas payload of a delta-mode upload, re-submitted with every
+    // retransmitted attempt. Opaque here: only the edge server reads it. A
+    // retransmitted delta re-applies cleanly — the canvas treats a
+    // same-epoch re-apply as a duplicate.
+    EdgeServer::CanvasUpload canvas;
     // Streamed (full-duplex) partial-response accounting. The response
     // arrives as one chunk per instance; each applied chunk extends the
     // deadline, and a deadline that fires with a partial set triggers a
@@ -153,8 +146,6 @@ class EdgeISPipeline : public Pipeline {
     int resend_audit = -1;  // index into resend_audits_, -1 = none
   };
 
-  std::vector<segnet::OracleInstance> build_oracle(
-      const scene::RenderedFrame& frame) const;
   void deliver_due_responses(double now_ms);
   /// Expire attempts, schedule/execute retransmissions, enter degraded
   /// mode after enough consecutive timeouts.
@@ -230,7 +221,6 @@ class EdgeISPipeline : public Pipeline {
   // frame interval pushes the next span later (the device is still busy),
   // keeping mobile-track B/E spans non-overlapping and in ts order.
   double trace_frame_end_ms_ = 0.0;
-  std::unordered_map<int, int> instance_class_;  // instance id -> class id
 
   feat::OrbExtractor orb_;
   rt::Rng rng_;

@@ -1,12 +1,36 @@
 #include "core/pipeline.hpp"
 
 #include <functional>
+#include <unordered_map>
 #include <utility>
 
 #include "runtime/log.hpp"
 #include "sim/scheduler.hpp"
 
 namespace edgeis::core {
+
+std::vector<segnet::OracleInstance> ground_truth_oracle(
+    const scene::SceneConfig& scene_config,
+    const scene::RenderedFrame& frame) {
+  std::unordered_map<int, int> instance_class;
+  for (const auto& obj : scene_config.objects) {
+    instance_class[obj.instance_id] = static_cast<int>(obj.cls);
+  }
+  std::vector<segnet::OracleInstance> oracle;
+  for (const auto& [instance_id, class_id] : instance_class) {
+    auto m = mask::mask_from_id_image(frame.instance_ids,
+                                      static_cast<std::uint16_t>(instance_id));
+    if (m.pixel_count() == 0) continue;
+    m.class_id = class_id;
+    segnet::OracleInstance oi;
+    oi.box = *m.bounding_box();
+    oi.class_id = class_id;
+    oi.instance_id = instance_id;
+    oi.mask = std::move(m);
+    oracle.push_back(std::move(oi));
+  }
+  return oracle;
+}
 
 void RunAccumulator::record(const scene::SceneSimulator& sim,
                             const scene::RenderedFrame& frame,

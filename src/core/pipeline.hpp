@@ -78,6 +78,16 @@ struct FrameOutput {
   double staleness_ms = -1.0;
 };
 
+/// Ground truth for the simulated segmentation model: one oracle instance
+/// per scene object visible in `frame`, cut from the frame's instance-id
+/// image and labelled with the object's class. Instances come in the
+/// iteration order of a hash table keyed by instance id, filled from
+/// `scene_config.objects` in order; the model's per-instance RNG draws
+/// follow that order, so every pipeline must build the oracle here.
+std::vector<segnet::OracleInstance> ground_truth_oracle(
+    const scene::SceneConfig& scene_config,
+    const scene::RenderedFrame& frame);
+
 class Pipeline {
  public:
   virtual ~Pipeline() = default;

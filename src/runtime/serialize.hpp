@@ -37,6 +37,7 @@ class ByteWriter {
 
   void put_string(std::string_view s) {
     put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+    if (s.empty()) return;  // data() may be null; memcpy forbids that
     const auto old = buf_.size();
     buf_.resize(old + s.size());
     std::memcpy(buf_.data() + old, s.data(), s.size());
@@ -46,6 +47,7 @@ class ByteWriter {
     requires std::is_trivially_copyable_v<T> && std::is_arithmetic_v<T>
   void put_vector(const std::vector<T>& v) {
     put<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
+    if (v.empty()) return;  // data() may be null; memcpy forbids that
     const auto old = buf_.size();
     buf_.resize(old + v.size() * sizeof(T));
     std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
@@ -99,6 +101,7 @@ class ByteReader {
     const auto n = get<std::uint32_t>();
     require(static_cast<std::size_t>(n) * sizeof(T));
     std::vector<T> v(n);
+    if (n == 0) return v;  // v.data() may be null; memcpy forbids that
     std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;

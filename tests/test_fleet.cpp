@@ -11,6 +11,7 @@
 
 #include "core/edge_server.hpp"
 #include "core/fleet.hpp"
+#include "encoding/uplink_encoder.hpp"
 #include "net/faults.hpp"
 #include "scene/presets.hpp"
 
@@ -148,8 +149,8 @@ TEST(FleetEquivalence, BatchOfOneBitwiseIdenticalToUnbatched) {
   const auto req = two_object_request();
   const double times[] = {0.0, 40.0, 41.0, 500.0};
   for (int i = 0; i < 4; ++i) {
-    plain.submit_streamed(i, times[i], 20000, req, /*attempt=*/0);
-    gpu_backed.submit_streamed(i, times[i], 20000, req, /*attempt=*/0);
+    plain.submit_keyframe(i, times[i], 20000, req, /*attempt=*/0);
+    gpu_backed.submit_keyframe(i, times[i], 20000, req, /*attempt=*/0);
   }
   auto a = plain.poll(1e18);
   auto b = gpu_backed.poll(1e18);
@@ -167,6 +168,114 @@ TEST(FleetEquivalence, BatchOfOneBitwiseIdenticalToUnbatched) {
     }
   }
   EXPECT_EQ(plain.busy_until_ms(), gpu_backed.busy_until_ms());
+}
+
+// The keyframe surface applies a canvas payload to every delivered copy
+// before inference. The payloads come from the mobile side's delta
+// encoder: a full seed (cold mirror), then a delta against that seed.
+TEST(FleetEquivalence, KeyframeCanvasPayloadsApplyPerDeliveredCopy) {
+  const auto model = segnet::mask_rcnn_profile();
+  const auto device = sim::jetson_tx2();
+  const auto req = two_object_request();
+
+  rt::Rng pixels(11);
+  img::GrayImage frame(req.width, req.height);
+  for (int y = 0; y < req.height; ++y) {
+    for (int x = 0; x < req.width; ++x) {
+      frame.at(x, y) = static_cast<std::uint8_t>(
+          40 + 80 * (((x / 16) + (y / 16)) % 2) + pixels.uniform_int(20));
+    }
+  }
+  const std::vector<mask::InstanceMask> priors = {req.oracle[0].mask,
+                                                  req.oracle[1].mask};
+  const std::vector<mask::Box> no_new_areas;
+  enc::EncodingConfig enc_cfg;
+  enc_cfg.uplink = enc::UplinkMode::kDelta;
+  enc::DeltaUplinkEncoder encoder(enc_cfg);
+  enc::UplinkFrameInput in;
+  in.width = req.width;
+  in.height = req.height;
+  in.intensity = &frame;
+  in.prior_masks = &priors;
+  in.new_areas = &no_new_areas;
+  in.warp_valid = true;  // zero shift: the camera held still
+  enc::UplinkPlan seed = encoder.plan(in);
+  ASSERT_FALSE(seed.is_delta);
+  in.frame_index = 1;
+  enc::UplinkPlan next = encoder.plan(in);
+  ASSERT_TRUE(next.is_delta);
+  ASSERT_EQ(next.delta.base_epoch, seed.epoch);
+  const EdgeServer::CanvasFull full{seed.encoded, seed.epoch};
+  const enc::CanvasDelta& delta = next.delta;
+
+  // Responses to frame 1: inference streams (chunk 0 opens one), all
+  // inference chunks, and resync refusals.
+  struct Tally {
+    int streams = 0;
+    int chunks = 0;
+    int resyncs = 0;
+  };
+  const auto tally = [](const std::vector<EdgeServer::Response>& rs) {
+    Tally t;
+    for (const auto& r : rs) {
+      if (r.frame_index != 1) continue;
+      if (r.canvas_resync) {
+        ++t.resyncs;
+        EXPECT_TRUE(r.masks.empty());
+        continue;
+      }
+      ++t.chunks;
+      if (r.chunk_index == 0) ++t.streams;
+    }
+    return t;
+  };
+
+  // Cold canvas: one small refusal, no inference, canvas untouched.
+  EdgeServer cold(model, device, rt::Rng(7));
+  cold.configure_canvas(enc_cfg.canvas);
+  cold.submit_keyframe(1, 0.0, 2000, req, /*attempt=*/0, delta);
+  const auto refused = cold.poll(1e18);
+  ASSERT_EQ(refused.size(), 1u);
+  const Tally cold_tally = tally(refused);
+  EXPECT_EQ(cold_tally.resyncs, 1);
+  EXPECT_EQ(cold_tally.chunks, 0);
+  EXPECT_EQ(refused[0].payload_bytes, 32u);
+  EXPECT_TRUE(cold.canvas().cold());
+
+  // Seeded canvas: the delta reconstructs, infers and advances the epoch.
+  EdgeServer warm(model, device, rt::Rng(7));
+  warm.configure_canvas(enc_cfg.canvas);
+  warm.submit_keyframe(0, 0.0, 20000, req, /*attempt=*/0, full);
+  warm.poll(1e18);
+  EXPECT_EQ(warm.canvas().epoch(), seed.epoch);
+  warm.submit_keyframe(1, 1000.0, 2000, req, /*attempt=*/0, delta);
+  const Tally warm_tally = tally(warm.poll(1e18));
+  EXPECT_EQ(warm_tally.resyncs, 0);
+  EXPECT_EQ(warm_tally.streams, 1);
+  EXPECT_GT(warm_tally.chunks, 0);
+  EXPECT_EQ(warm.canvas().epoch(), delta.epoch);
+  EXPECT_GT(warm.canvas().epoch(), seed.epoch);
+
+  // Every uplink message duplicated: the second delta copy re-applies as a
+  // same-epoch duplicate, so both copies are inferred and none resyncs.
+  net::FaultScript always_duplicate;
+  net::FaultWindow dup;
+  dup.start_ms = 0.0;
+  dup.end_ms = 1e18;
+  dup.mode = net::FaultMode::kDuplicate;
+  dup.probability = 1.0;
+  always_duplicate.add(dup);
+  EdgeServer doubled(model, device, rt::Rng(7),
+                     net::FaultInjector(always_duplicate, rt::Rng(3)));
+  doubled.configure_canvas(enc_cfg.canvas);
+  doubled.submit_keyframe(0, 0.0, 20000, req, /*attempt=*/0, full);
+  doubled.poll(1e18);
+  doubled.submit_keyframe(1, 1000.0, 2000, req, /*attempt=*/0, delta);
+  const Tally doubled_tally = tally(doubled.poll(1e18));
+  EXPECT_EQ(doubled_tally.resyncs, 0);
+  EXPECT_EQ(doubled_tally.streams, 2);
+  EXPECT_GE(doubled_tally.chunks, 2);
+  EXPECT_EQ(doubled.canvas().epoch(), delta.epoch);
 }
 
 // ---------------------------------------------------------------------------
