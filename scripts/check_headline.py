@@ -26,6 +26,7 @@ Usage:
     bench/scenario_matrix --smoke | scripts/check_headline.py --subset bench/expected/scenario_matrix_headline.txt
 """
 
+import os
 import sys
 
 # Per-field tolerances. Counters compare within max(abs, rel * expected)
@@ -128,6 +129,12 @@ def main(argv):
     if len(args) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
+    # A missing file is a setup fault (an uncommitted baseline or a typo'd
+    # path); say which one in a line, not a traceback.
+    for role, path in zip(("expected", "output"), args):
+        if not os.path.isfile(path):
+            print(f"HEADLINE check FAILED: {role} file not found: {path}")
+            return 1
     with open(args[0]) as f:
         expected = parse(f)
     if len(args) == 2:

@@ -16,10 +16,17 @@ std::vector<segnet::OracleInstance> ground_truth_oracle(
   for (const auto& obj : scene_config.objects) {
     instance_class[obj.instance_id] = static_cast<int>(obj.cls);
   }
-  std::vector<segnet::OracleInstance> oracle;
+  // One pass over the id image for all instances, in the table's order.
+  std::vector<std::uint16_t> ids;
+  ids.reserve(instance_class.size());
   for (const auto& [instance_id, class_id] : instance_class) {
-    auto m = mask::mask_from_id_image(frame.instance_ids,
-                                      static_cast<std::uint16_t>(instance_id));
+    ids.push_back(static_cast<std::uint16_t>(instance_id));
+  }
+  auto masks = mask::split_id_image(frame.instance_ids, ids);
+  std::vector<segnet::OracleInstance> oracle;
+  std::size_t k = 0;
+  for (const auto& [instance_id, class_id] : instance_class) {
+    auto& m = masks[k++];
     if (m.pixel_count() == 0) continue;
     m.class_id = class_id;
     segnet::OracleInstance oi;

@@ -13,53 +13,7 @@ constexpr int kCircle[16][2] = {
     {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0},  {3, 1},  {2, 2},  {1, 3},
     {0, 3},  {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3}};
 
-// ---- Scalar reference path (kept for equivalence tests). -----------------
-
-// Corner score: sum of absolute differences of contiguous arc pixels vs
-// center, a cheap stand-in for the exact FAST score.
-float corner_score_reference(const img::GrayImage& im, int x, int y,
-                             int threshold) {
-  const int c = im.at(x, y);
-  float score = 0.0f;
-  for (const auto& off : kCircle) {
-    const int v = im.at(x + off[0], y + off[1]);
-    const int d = std::abs(v - c);
-    if (d > threshold) score += static_cast<float>(d - threshold);
-  }
-  return score;
-}
-
-bool is_corner_reference(const img::GrayImage& im, int x, int y, int threshold,
-                         int min_consecutive) {
-  const int c = im.at(x, y);
-  const int hi = c + threshold;
-  const int lo = c - threshold;
-
-  // Quick reject using the 4 compass points: at least 3 of them must be
-  // consistently brighter or darker for a 9-consecutive arc to exist.
-  int brighter4 = 0, darker4 = 0;
-  for (int i : {0, 4, 8, 12}) {
-    const int v = im.at(x + kCircle[i][0], y + kCircle[i][1]);
-    brighter4 += (v > hi) ? 1 : 0;
-    darker4 += (v < lo) ? 1 : 0;
-  }
-  if (brighter4 < 3 && darker4 < 3) return false;
-
-  // Full segment test over the doubled circle to handle wrap-around.
-  int run_bright = 0, run_dark = 0;
-  for (int i = 0; i < 32; ++i) {
-    const auto& off = kCircle[i % 16];
-    const int v = im.at(x + off[0], y + off[1]);
-    run_bright = (v > hi) ? run_bright + 1 : 0;
-    run_dark = (v < lo) ? run_dark + 1 : 0;
-    if (run_bright >= min_consecutive || run_dark >= min_consecutive) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---- Shared back half: NMS + grid-bucketed retention. --------------------
+// ---- Back half: NMS + grid-bucketed retention. ---------------------------
 
 std::vector<Keypoint> suppress_and_retain(const img::GrayImage& image,
                                           const DetectorOptions& opts,
@@ -207,25 +161,6 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
       Keypoint kp;
       kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
       kp.score = score;
-      raw.push_back(kp);
-    }
-  }
-  return suppress_and_retain(image, opts, std::move(raw));
-}
-
-std::vector<Keypoint> detect_fast_reference(const img::GrayImage& image,
-                                            const DetectorOptions& opts) {
-  std::vector<Keypoint> raw;
-  const int border = 4;
-  for (int y = border; y < image.height() - border; ++y) {
-    for (int x = border; x < image.width() - border; ++x) {
-      if (!is_corner_reference(image, x, y, opts.threshold,
-                               opts.min_consecutive)) {
-        continue;
-      }
-      Keypoint kp;
-      kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
-      kp.score = corner_score_reference(image, x, y, opts.threshold);
       raw.push_back(kp);
     }
   }

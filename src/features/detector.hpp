@@ -23,14 +23,9 @@ struct DetectorOptions {
 /// pixel coordinates; the caller scales for pyramid levels. Implemented
 /// with row-wise intensity loads (a vectorizable compass prefilter sweep,
 /// then precomputed linear circle offsets for survivors) — output is
-/// identical to detect_fast_reference.
+/// identical to the scalar reference in tests/reference_kernels.hpp.
 std::vector<Keypoint> detect_fast(const img::GrayImage& image,
                                   const DetectorOptions& opts = {});
-
-/// Scalar reference implementation (per-pixel scattered im.at() loads),
-/// kept beside the vectorized path for randomized equivalence tests.
-std::vector<Keypoint> detect_fast_reference(const img::GrayImage& image,
-                                            const DetectorOptions& opts = {});
 
 /// Intensity-centroid orientation (ORB): angle of the patch first moment.
 float compute_orientation(const img::GrayImage& image, int x, int y,

@@ -14,8 +14,8 @@ struct Descriptor {
 
   [[nodiscard]] int hamming_distance(const Descriptor& o) const noexcept {
     // All four words unrolled as independent XOR+popcount chains: the
-    // scalar reference below accumulates through a loop-carried add, this
-    // form lets the compiler schedule the four popcounts in parallel
+    // scalar reference (tests/reference_kernels.hpp) accumulates through a
+    // loop-carried add, this form lets the compiler schedule the four popcounts in parallel
     // (and fuse them into vector popcount where available).
     return __builtin_popcountll(bits[0] ^ o.bits[0]) +
            __builtin_popcountll(bits[1] ^ o.bits[1]) +
@@ -23,18 +23,6 @@ struct Descriptor {
            __builtin_popcountll(bits[3] ^ o.bits[3]);
   }
 };
-
-/// Scalar reference for the unrolled member above; kept beside the
-/// vector-friendly kernels so randomized equivalence tests can pin them
-/// bit-exact (see tests/test_hotpath.cpp).
-[[nodiscard]] inline int hamming_distance_reference(
-    const Descriptor& a, const Descriptor& b) noexcept {
-  int d = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    d += __builtin_popcountll(a.bits[i] ^ b.bits[i]);
-  }
-  return d;
-}
 
 /// Hamming distance between a query held in registers and one packed
 /// 4-word descriptor, with an early-out: once the first half already

@@ -134,51 +134,6 @@ std::vector<Match> match_brute_force(std::span<const Feature> set0,
   return out;
 }
 
-std::vector<Match> match_brute_force_reference(std::span<const Feature> set0,
-                                               std::span<const Feature> set1,
-                                               const MatchOptions& opts) {
-  if (set0.empty() || set1.empty()) return {};
-
-  std::vector<int> best1(set0.size());
-  std::vector<int> best_dist(set0.size());
-  std::vector<bool> accepted(set0.size(), false);
-  for (std::size_t i = 0; i < set0.size(); ++i) {
-    Best2 r;
-    for (std::size_t j = 0; j < set1.size(); ++j) {
-      const int d = hamming_distance_reference(set0[i].desc, set1[j].desc);
-      if (d < r.bd) {
-        r.sd = r.bd;
-        r.bd = d;
-        r.best = static_cast<int>(j);
-      } else if (d < r.sd) {
-        r.sd = d;
-      }
-    }
-    best1[i] = r.best;
-    best_dist[i] = r.bd;
-    accepted[i] = accept(r, opts);
-  }
-
-  std::vector<int> best0(set1.size(), -1);
-  std::vector<int> best0_dist(set1.size(), kNoDistance);
-  for (std::size_t i = 0; i < set0.size(); ++i) {
-    if (!accepted[i]) continue;
-    const auto j = static_cast<std::size_t>(best1[i]);
-    if (best_dist[i] < best0_dist[j]) {
-      best0_dist[j] = best_dist[i];
-      best0[j] = static_cast<int>(i);
-    }
-  }
-
-  std::vector<Match> out;
-  for (std::size_t j = 0; j < set1.size(); ++j) {
-    if (best0[j] >= 0) {
-      out.push_back({static_cast<std::size_t>(best0[j]), j, best0_dist[j]});
-    }
-  }
-  return out;
-}
-
 FeatureGrid::FeatureGrid(std::span<const Feature> features, int image_width,
                          int image_height, int cell_size)
     : cell_size_(cell_size),

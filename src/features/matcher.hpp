@@ -33,16 +33,10 @@ struct Match {
 /// Brute-force matching with ratio test and mutual-best cross check.
 /// Internally packs descriptors contiguously and early-outs candidates
 /// against the running second-best (see feature.hpp); output is identical
-/// to match_brute_force_reference.
+/// to the scalar reference in tests/reference_kernels.hpp.
 std::vector<Match> match_brute_force(std::span<const Feature> set0,
                                      std::span<const Feature> set1,
                                      const MatchOptions& opts = {});
-
-/// Scalar reference implementation (plain double loop, no packing or
-/// early-out), kept for randomized equivalence tests.
-std::vector<Match> match_brute_force_reference(std::span<const Feature> set0,
-                                               std::span<const Feature> set1,
-                                               const MatchOptions& opts = {});
 
 /// Match each query feature against train features within `search_radius`
 /// of its predicted pixel position. `predictions[i]` is the expected pixel

@@ -2,78 +2,103 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "runtime/arena.hpp"
 
 namespace edgeis::mask {
 
+void InstanceMask::fill_span(int y, int x0, int x1) {
+  std::uint8_t* r = bits_.row(y);
+  std::fill(r + x0, r + x1, std::uint8_t{1});
+  grow({x0, y, x1, y + 1});
+}
+
+long long InstanceMask::pixel_count() const noexcept {
+  long long c = 0;
+  for (int y = extent_.y0; y < extent_.y1; ++y) {
+    const auto* r = bits_.row(y);
+    for (int x = extent_.x0; x < extent_.x1; ++x) c += r[x] ? 1 : 0;
+  }
+  return c;
+}
+
 std::optional<Box> InstanceMask::bounding_box() const {
   Box b{width(), height(), 0, 0};
   bool any = false;
-  for (int y = 0; y < height(); ++y) {
+  for (int y = extent_.y0; y < extent_.y1; ++y) {
     const auto* r = bits_.row(y);
-    for (int x = 0; x < width(); ++x) {
-      if (!r[x]) continue;
-      any = true;
-      b.x0 = std::min(b.x0, x);
-      b.y0 = std::min(b.y0, y);
-      b.x1 = std::max(b.x1, x + 1);
-      b.y1 = std::max(b.y1, y + 1);
-    }
+    int first = extent_.x0;
+    while (first < extent_.x1 && !r[first]) ++first;
+    if (first == extent_.x1) continue;
+    int last = extent_.x1 - 1;
+    while (!r[last]) --last;
+    any = true;
+    b.x0 = std::min(b.x0, first);
+    b.y0 = std::min(b.y0, y);
+    b.x1 = std::max(b.x1, last + 1);
+    b.y1 = std::max(b.y1, y + 1);
   }
   if (!any) return std::nullopt;
   return b;
 }
 
 double InstanceMask::iou(const InstanceMask& o) const {
-  long long inter = 0, uni = 0;
-  const int w = std::max(width(), o.width());
-  const int h = std::max(height(), o.height());
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const bool a = get(x, y);
-      const bool b = o.get(x, y);
-      inter += (a && b) ? 1 : 0;
-      uni += (a || b) ? 1 : 0;
+  // Pixels outside an extent are unset, so the intersection lies where the
+  // two extents overlap and the union is |A| + |B| - |A and B|.
+  const Box both = extent_.intersect(o.extent_);
+  long long inter = 0;
+  for (int y = both.y0; y < both.y1; ++y) {
+    const auto* ra = bits_.row(y);
+    const auto* rb = o.bits_.row(y);
+    for (int x = both.x0; x < both.x1; ++x) {
+      inter += (ra[x] && rb[x]) ? 1 : 0;
     }
   }
+  const long long uni = pixel_count() + o.pixel_count() - inter;
   return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
 }
 
 InstanceMask InstanceMask::dilated(int r) const {
   InstanceMask out = *this;
+  std::vector<std::pair<int, int>> grown;
   for (int pass = 0; pass < r; ++pass) {
-    InstanceMask next = out;
-    for (int y = 0; y < height(); ++y) {
-      for (int x = 0; x < width(); ++x) {
+    // Only pixels within one step of the extent can gain a set neighbor.
+    const Box scan = out.extent_.inflated(1, width(), height());
+    grown.clear();
+    for (int y = scan.y0; y < scan.y1; ++y) {
+      for (int x = scan.x0; x < scan.x1; ++x) {
         if (out.get(x, y)) continue;
         if (out.get(x - 1, y) || out.get(x + 1, y) || out.get(x, y - 1) ||
             out.get(x, y + 1)) {
-          next.set(x, y);
+          grown.emplace_back(x, y);
         }
       }
     }
-    out = std::move(next);
+    for (const auto& [x, y] : grown) out.set(x, y);
   }
   return out;
 }
 
 InstanceMask InstanceMask::eroded(int r) const {
   InstanceMask out = *this;
+  std::vector<std::pair<int, int>> shrunk;
   for (int pass = 0; pass < r; ++pass) {
-    InstanceMask next = out;
-    for (int y = 0; y < height(); ++y) {
-      for (int x = 0; x < width(); ++x) {
+    const Box scan = out.extent_;
+    shrunk.clear();
+    for (int y = scan.y0; y < scan.y1; ++y) {
+      for (int x = scan.x0; x < scan.x1; ++x) {
         if (!out.get(x, y)) continue;
         // Border pixels erode too (treat outside as unset).
         const bool interior = x > 0 && y > 0 && x < width() - 1 &&
                               y < height() - 1 && out.get(x - 1, y) &&
                               out.get(x + 1, y) && out.get(x, y - 1) &&
                               out.get(x, y + 1);
-        if (!interior) next.set(x, y, false);
+        if (!interior) shrunk.emplace_back(x, y);
       }
     }
-    out = std::move(next);
+    for (const auto& [x, y] : shrunk) out.set(x, y, false);
   }
   return out;
 }
@@ -82,11 +107,17 @@ InstanceMask InstanceMask::translated(int dx, int dy) const {
   InstanceMask out(width(), height());
   out.class_id = class_id;
   out.instance_id = instance_id;
-  for (int y = 0; y < height(); ++y) {
-    for (int x = 0; x < width(); ++x) {
-      if (get(x, y)) out.set(x + dx, y + dy);
-    }
+  // The extent shifted and clipped to the frame holds every pixel that
+  // lands inside it; copy those row segments across.
+  const Box dst =
+      Box{extent_.x0 + dx, extent_.y0 + dy, extent_.x1 + dx, extent_.y1 + dy}
+          .intersect({0, 0, width(), height()});
+  if (dst.empty()) return out;
+  for (int y = dst.y0; y < dst.y1; ++y) {
+    const auto* src = bits_.row(y - dy) + (dst.x0 - dx);
+    std::copy(src, src + dst.width(), out.bits_.row(y) + dst.x0);
   }
+  out.extent_ = dst;
   return out;
 }
 
@@ -157,24 +188,28 @@ Contour trace_boundary(const InstanceMask& m, int sx, int sy) {
 
 std::vector<Contour> find_contours(const InstanceMask& mask) {
   std::vector<Contour> contours;
-  const int w = mask.width();
-  const int h = mask.height();
-  // Frame-scratch reuse: the visited map is a full-frame buffer that used
-  // to be re-heap-allocated on every call (mask transfer runs this per
-  // instance per keyframe); the flood-fill stack keeps its capacity
+  // Every set pixel lies in the extent, so the scan and the visited map
+  // cover only that box. The map is frame scratch (mask transfer runs this
+  // per instance per keyframe); the flood-fill stack keeps its capacity
   // across calls the same way.
+  const Box e = mask.extent();
+  if (e.empty()) return contours;
   rt::ArenaScope scratch;
   auto visited = scratch.alloc_filled<std::uint8_t>(
-      static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
+      static_cast<std::size_t>(e.width()) *
+          static_cast<std::size_t>(e.height()),
+      0);
   const auto seen = [&](int px, int py) -> std::uint8_t& {
-    return visited[static_cast<std::size_t>(py) * static_cast<std::size_t>(w) +
-                   static_cast<std::size_t>(px)];
+    return visited[static_cast<std::size_t>(py - e.y0) *
+                       static_cast<std::size_t>(e.width()) +
+                   static_cast<std::size_t>(px - e.x0)];
   };
   thread_local std::vector<std::pair<int, int>> stack;
 
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (!mask.get(x, y) || seen(x, y)) continue;
+  for (int y = e.y0; y < e.y1; ++y) {
+    const auto* r = mask.raw().row(y);
+    for (int x = e.x0; x < e.x1; ++x) {
+      if (!r[x] || seen(x, y)) continue;
       const bool is_boundary_start = !mask.get(x - 1, y);
       if (!is_boundary_start) continue;
 
@@ -185,8 +220,8 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
       while (!stack.empty()) {
         auto [px, py] = stack.back();
         stack.pop_back();
-        // mask.get bounds-checks, so out-of-range pushes die here before
-        // the visited lookup.
+        // mask.get is false outside the extent, so out-of-range pushes die
+        // here before the visited lookup.
         if (!mask.get(px, py) || seen(px, py)) continue;
         seen(px, py) = 1;
         stack.push_back({px - 1, py});
@@ -202,42 +237,81 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
 
 InstanceMask rasterize_polygon(const Contour& polygon, int width, int height) {
   InstanceMask out(width, height);
-  if (polygon.size() < 3) return out;
+  const std::size_t n = polygon.size();
+  if (n < 3) return out;
+
+  // An edge crosses row y only when y + 0.5 lies in [min y, max y) of the
+  // polygon, so only those rows are filled. Bounds and spans are clamped
+  // in double before any int cast: contours decoded off the wire or
+  // projected through a camera may carry huge or NaN coordinates. A NaN
+  // never compares less or greater, so it drops out of the min/max, and a
+  // NaN crossing is skipped.
+  double ymin = std::numeric_limits<double>::infinity();
+  double ymax = -ymin;
+  for (const auto& p : polygon) {
+    ymin = std::min(ymin, p.y);
+    ymax = std::max(ymax, p.y);
+  }
+  const double h = static_cast<double>(height);
+  const int y_lo = static_cast<int>(std::clamp(std::ceil(ymin - 0.5), 0.0, h));
+  const int y_hi = static_cast<int>(std::clamp(std::ceil(ymax - 0.5), 0.0, h));
+  const double x_last = static_cast<double>(width - 1);
 
   // Even-odd scanline fill.
-  for (int y = 0; y < height; ++y) {
+  std::vector<double> xs;
+  for (int y = y_lo; y < y_hi; ++y) {
     const double fy = static_cast<double>(y) + 0.5;
-    std::vector<double> xs;
-    const std::size_t n = polygon.size();
+    xs.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const geom::Vec2& a = polygon[i];
       const geom::Vec2& b = polygon[(i + 1) % n];
       if ((a.y <= fy && b.y > fy) || (b.y <= fy && a.y > fy)) {
         const double t = (fy - a.y) / (b.y - a.y);
-        xs.push_back(a.x + t * (b.x - a.x));
+        const double x = a.x + t * (b.x - a.x);
+        if (!std::isnan(x)) xs.push_back(x);
       }
     }
     std::sort(xs.begin(), xs.end());
     for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
-      const int x0 = std::max(0, static_cast<int>(std::ceil(xs[i] - 0.5)));
-      const int x1 =
-          std::min(width - 1, static_cast<int>(std::floor(xs[i + 1] - 0.5)));
-      for (int x = x0; x <= x1; ++x) out.set(x, y);
+      const double x0 = std::max(0.0, std::ceil(xs[i] - 0.5));
+      const double x1 = std::min(x_last, std::floor(xs[i + 1] - 0.5));
+      if (x0 <= x1) {
+        out.fill_span(y, static_cast<int>(x0), static_cast<int>(x1) + 1);
+      }
     }
   }
 
   return out;
 }
 
-InstanceMask mask_from_id_image(const img::IdImage& ids, std::uint16_t id) {
-  InstanceMask out(ids.width(), ids.height());
-  out.instance_id = id;
+std::vector<InstanceMask> split_id_image(
+    const img::IdImage& ids, std::span<const std::uint16_t> wanted) {
+  const int w = ids.width();
+  std::vector<InstanceMask> out;
+  out.reserve(wanted.size());
+  for (const std::uint16_t id : wanted) {
+    out.emplace_back(w, ids.height());
+    out.back().instance_id = id;
+  }
+  // Ids come in runs along a row (background, then an object's span), so
+  // each run is found with a compare-only loop and filled as one span.
   for (int y = 0; y < ids.height(); ++y) {
-    for (int x = 0; x < ids.width(); ++x) {
-      if (ids.at(x, y) == id) out.set(x, y);
+    const std::uint16_t* src = ids.row(y);
+    for (int x = 0; x < w;) {
+      const std::uint16_t id = src[x];
+      int end = x + 1;
+      while (end < w && src[end] == id) ++end;
+      for (std::size_t k = 0; k < wanted.size(); ++k) {
+        if (wanted[k] == id) out[k].fill_span(y, x, end);
+      }
+      x = end;
     }
   }
   return out;
+}
+
+InstanceMask mask_from_id_image(const img::IdImage& ids, std::uint16_t id) {
+  return std::move(split_id_image(ids, {&id, 1}).front());
 }
 
 }  // namespace edgeis::mask

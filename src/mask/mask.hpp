@@ -4,8 +4,10 @@
 // polygon rasterization (contour -> mask) and simple morphology.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +55,18 @@ struct Box {
   friend bool operator==(const Box&, const Box&) = default;
 };
 
+/// A closed contour: ordered list of connected boundary pixels.
+using Contour = std::vector<geom::Vec2>;
+
 /// Dense binary mask of one object instance, with class and instance ids.
+///
+/// The mask carries its extent: a box that holds every set pixel. Setting
+/// a pixel grows it; clearing one leaves it as it is, so the extent is a
+/// conservative bound, not always a tight one. A default or freshly sized
+/// mask has an empty extent. Every operation below scans only inside
+/// extents, so its cost follows the object's size, not the frame's; each
+/// still visits the same set pixels in the same row-major order as a
+/// full-frame scan, so its output is identical.
 class InstanceMask {
  public:
   InstanceMask() = default;
@@ -67,17 +80,15 @@ class InstanceMask {
     return bits_.contains(x, y) && bits_.at(x, y) != 0;
   }
   void set(int x, int y, bool v = true) {
-    if (bits_.contains(x, y)) bits_.at(x, y) = v ? 1 : 0;
+    if (!bits_.contains(x, y)) return;
+    bits_.at(x, y) = v ? 1 : 0;
+    if (v) grow({x, y, x + 1, y + 1});
   }
 
-  [[nodiscard]] long long pixel_count() const noexcept {
-    long long c = 0;
-    for (int y = 0; y < height(); ++y) {
-      const auto* r = bits_.row(y);
-      for (int x = 0; x < width(); ++x) c += r[x] ? 1 : 0;
-    }
-    return c;
-  }
+  /// Conservative bound of the set pixels (see the class comment).
+  [[nodiscard]] const Box& extent() const noexcept { return extent_; }
+
+  [[nodiscard]] long long pixel_count() const noexcept;
 
   /// Tight bounding box of set pixels; nullopt for an empty mask.
   [[nodiscard]] std::optional<Box> bounding_box() const;
@@ -98,14 +109,19 @@ class InstanceMask {
   [[nodiscard]] const img::Image<std::uint8_t>& raw() const noexcept {
     return bits_;
   }
-  [[nodiscard]] img::Image<std::uint8_t>& raw() noexcept { return bits_; }
 
  private:
-  img::Image<std::uint8_t> bits_;
-};
+  friend InstanceMask rasterize_polygon(const Contour&, int, int);
+  friend std::vector<InstanceMask> split_id_image(
+      const img::IdImage&, std::span<const std::uint16_t>);
 
-/// A closed contour: ordered list of connected boundary pixels.
-using Contour = std::vector<geom::Vec2>;
+  void grow(const Box& b) noexcept { extent_ = extent_.unite(b); }
+  /// Set pixels [x0, x1) of row `y`; the span must lie inside the frame.
+  void fill_span(int y, int x0, int x1);
+
+  img::Image<std::uint8_t> bits_;
+  Box extent_;
+};
 
 /// Extract the outer contours of all connected components in the mask
 /// (Moore-neighbor tracing with Jacob's stopping criterion — the analogue
@@ -114,6 +130,12 @@ std::vector<Contour> find_contours(const InstanceMask& mask);
 
 /// Rasterize a closed polygon into a mask (even-odd scanline fill).
 InstanceMask rasterize_polygon(const Contour& polygon, int width, int height);
+
+/// Split an instance-id buffer into one mask per entry of `wanted`, in that
+/// order, in a single pass over the buffer (the one mask op that reads the
+/// whole frame). Each mask's instance_id is its id.
+std::vector<InstanceMask> split_id_image(const img::IdImage& ids,
+                                         std::span<const std::uint16_t> wanted);
 
 /// Build an InstanceMask from an instance-id buffer, selecting `id` pixels.
 InstanceMask mask_from_id_image(const img::IdImage& ids, std::uint16_t id);

@@ -378,10 +378,17 @@ mask::InstanceMask SceneSimulator::unoccluded_mask(int frame_index,
 
 std::vector<mask::InstanceMask> SceneSimulator::ground_truth_masks(
     const RenderedFrame& frame) const {
-  std::vector<mask::InstanceMask> out;
+  std::vector<std::uint16_t> ids;
+  ids.reserve(config_.objects.size());
   for (const auto& obj : config_.objects) {
-    auto m = ground_truth_mask(frame, obj.instance_id, obj.cls);
-    if (m.pixel_count() > 0) out.push_back(std::move(m));
+    ids.push_back(static_cast<std::uint16_t>(obj.instance_id));
+  }
+  auto masks = mask::split_id_image(frame.instance_ids, ids);
+  std::vector<mask::InstanceMask> out;
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    if (masks[k].pixel_count() == 0) continue;
+    masks[k].class_id = static_cast<int>(config_.objects[k].cls);
+    out.push_back(std::move(masks[k]));
   }
   return out;
 }

@@ -13,11 +13,13 @@
 #include "features/orb.hpp"
 #include "image/image.hpp"
 #include "mask/mask.hpp"
+#include "reference_kernels.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/rng.hpp"
 
 using namespace edgeis;
 using namespace edgeis::feat;
+using namespace edgeis::feat::reference;
 
 namespace {
 

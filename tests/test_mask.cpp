@@ -1,10 +1,17 @@
 // Unit tests for masks: boxes, IoU, contour tracing, rasterization,
-// morphology.
+// morphology, and the extent-aware ops against full-frame references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "mask/mask.hpp"
+#include "runtime/rng.hpp"
 
 using namespace edgeis::mask;
 
@@ -234,4 +241,498 @@ TEST(Contours, NoisyBlobContourStaysProportionalToPerimeter) {
   for (const auto& c : find_contours(m)) verts += c.size();
   EXPECT_GT(verts, 100u);
   EXPECT_LE(verts, 4u * 2u * 220u);  // O(perimeter), far below area ~15k
+}
+
+// ---------------------------------------------------------------------------
+// Extent-aware operations against full-frame references.
+//
+// InstanceMask keeps a conservative extent of its set pixels and every
+// operation scans only inside it. The references below are the plain
+// full-frame scans, written against the public get/set API only; each
+// extent-aware op must agree with its reference bit for bit, and every
+// mask it returns must keep all set pixels inside its extent.
+
+namespace {
+
+using edgeis::rt::Rng;
+
+int rand_int(Rng& rng, int lo, int hi) {  // [lo, hi]
+  return lo + static_cast<int>(rng.uniform_int(
+                  static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+long long ref_pixel_count(const InstanceMask& m) {
+  long long c = 0;
+  for (int y = 0; y < m.height(); ++y) {
+    for (int x = 0; x < m.width(); ++x) c += m.get(x, y) ? 1 : 0;
+  }
+  return c;
+}
+
+std::optional<Box> ref_bounding_box(const InstanceMask& m) {
+  Box b{m.width(), m.height(), 0, 0};
+  bool any = false;
+  for (int y = 0; y < m.height(); ++y) {
+    for (int x = 0; x < m.width(); ++x) {
+      if (!m.get(x, y)) continue;
+      any = true;
+      b.x0 = std::min(b.x0, x);
+      b.y0 = std::min(b.y0, y);
+      b.x1 = std::max(b.x1, x + 1);
+      b.y1 = std::max(b.y1, y + 1);
+    }
+  }
+  if (!any) return std::nullopt;
+  return b;
+}
+
+double ref_iou(const InstanceMask& a, const InstanceMask& b) {
+  long long inter = 0, uni = 0;
+  const int w = std::max(a.width(), b.width());
+  const int h = std::max(a.height(), b.height());
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      inter += (a.get(x, y) && b.get(x, y)) ? 1 : 0;
+      uni += (a.get(x, y) || b.get(x, y)) ? 1 : 0;
+    }
+  }
+  return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
+}
+
+InstanceMask ref_translated(const InstanceMask& m, int dx, int dy) {
+  InstanceMask out(m.width(), m.height());
+  for (int y = 0; y < m.height(); ++y) {
+    for (int x = 0; x < m.width(); ++x) {
+      if (m.get(x, y)) out.set(x + dx, y + dy);
+    }
+  }
+  return out;
+}
+
+InstanceMask ref_dilated(const InstanceMask& m, int r) {
+  InstanceMask out = m;
+  for (int pass = 0; pass < r; ++pass) {
+    InstanceMask next = out;
+    for (int y = 0; y < m.height(); ++y) {
+      for (int x = 0; x < m.width(); ++x) {
+        if (out.get(x, y)) continue;
+        if (out.get(x - 1, y) || out.get(x + 1, y) || out.get(x, y - 1) ||
+            out.get(x, y + 1)) {
+          next.set(x, y);
+        }
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+InstanceMask ref_eroded(const InstanceMask& m, int r) {
+  InstanceMask out = m;
+  for (int pass = 0; pass < r; ++pass) {
+    InstanceMask next = out;
+    for (int y = 0; y < m.height(); ++y) {
+      for (int x = 0; x < m.width(); ++x) {
+        if (!out.get(x, y)) continue;
+        const bool interior = x > 0 && y > 0 && x < m.width() - 1 &&
+                              y < m.height() - 1 && out.get(x - 1, y) &&
+                              out.get(x + 1, y) && out.get(x, y - 1) &&
+                              out.get(x, y + 1);
+        if (!interior) next.set(x, y, false);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+// Moore-neighbor boundary trace with Jacob's stopping criterion, as in
+// mask.cpp.
+Contour ref_trace_boundary(const InstanceMask& m, int sx, int sy) {
+  constexpr int kMoore[8][2] = {{-1, 0}, {-1, -1}, {0, -1}, {1, -1},
+                                {1, 0},  {1, 1},   {0, 1},  {-1, 1}};
+  Contour contour;
+  contour.push_back({static_cast<double>(sx), static_cast<double>(sy)});
+  int cx = sx, cy = sy, backtrack = 0, fx = -1, fy = -1;
+  const std::size_t max_steps = static_cast<std::size_t>(m.width()) *
+                                    static_cast<std::size_t>(m.height()) * 4 +
+                                16;
+  for (std::size_t step = 0; step < max_steps; ++step) {
+    bool found = false;
+    int nx = 0, ny = 0, ndir = 0;
+    for (int k = 1; k <= 8; ++k) {
+      const int dir = (backtrack + k) % 8;
+      if (m.get(cx + kMoore[dir][0], cy + kMoore[dir][1])) {
+        nx = cx + kMoore[dir][0];
+        ny = cy + kMoore[dir][1];
+        ndir = dir;
+        found = true;
+        break;
+      }
+    }
+    if (!found) break;
+    if (step == 0) {
+      fx = nx;
+      fy = ny;
+    } else if (cx == sx && cy == sy && nx == fx && ny == fy) {
+      contour.pop_back();
+      break;
+    }
+    contour.push_back({static_cast<double>(nx), static_cast<double>(ny)});
+    backtrack = (ndir % 2 == 0) ? (ndir + 6) % 8 : (ndir + 5) % 8;
+    cx = nx;
+    cy = ny;
+  }
+  return contour;
+}
+
+std::vector<Contour> ref_find_contours(const InstanceMask& m) {
+  std::vector<Contour> contours;
+  const int w = m.width(), h = m.height();
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(w * h), 0);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (!m.get(x, y) || seen[static_cast<std::size_t>(y * w + x)]) continue;
+      if (m.get(x - 1, y)) continue;
+      Contour c = ref_trace_boundary(m, x, y);
+      std::vector<std::pair<int, int>> stack{{x, y}};
+      while (!stack.empty()) {
+        const auto [px, py] = stack.back();
+        stack.pop_back();
+        if (!m.get(px, py) || seen[static_cast<std::size_t>(py * w + px)]) {
+          continue;
+        }
+        seen[static_cast<std::size_t>(py * w + px)] = 1;
+        stack.push_back({px - 1, py});
+        stack.push_back({px + 1, py});
+        stack.push_back({px, py - 1});
+        stack.push_back({px, py + 1});
+      }
+      if (c.size() >= 3) contours.push_back(std::move(c));
+    }
+  }
+  return contours;
+}
+
+// Every row of the frame, even-odd fill, spans clamped in double (the
+// int cast of an unclamped huge crossing would be undefined).
+InstanceMask ref_rasterize(const Contour& poly, int w, int h) {
+  InstanceMask out(w, h);
+  const std::size_t n = poly.size();
+  if (n < 3) return out;
+  for (int y = 0; y < h; ++y) {
+    const double fy = y + 0.5;
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& a = poly[i];
+      const auto& b = poly[(i + 1) % n];
+      if ((a.y <= fy && b.y > fy) || (b.y <= fy && a.y > fy)) {
+        const double x = a.x + (fy - a.y) / (b.y - a.y) * (b.x - a.x);
+        if (!std::isnan(x)) xs.push_back(x);
+      }
+    }
+    std::sort(xs.begin(), xs.end());
+    for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
+      const double x0 = std::max(0.0, std::ceil(xs[i] - 0.5));
+      const double x1 = std::min(w - 1.0, std::floor(xs[i + 1] - 0.5));
+      for (double x = x0; x <= x1; x += 1.0) out.set(static_cast<int>(x), y);
+    }
+  }
+  return out;
+}
+
+InstanceMask ref_mask_from_ids(const edgeis::img::IdImage& ids,
+                               std::uint16_t id) {
+  InstanceMask out(ids.width(), ids.height());
+  for (int y = 0; y < ids.height(); ++y) {
+    for (int x = 0; x < ids.width(); ++x) {
+      if (ids.at(x, y) == id) out.set(x, y);
+    }
+  }
+  return out;
+}
+
+/// No set pixel may lie outside the extent.
+::testing::AssertionResult extent_holds(const InstanceMask& m) {
+  const Box& e = m.extent();
+  for (int y = 0; y < m.height(); ++y) {
+    for (int x = 0; x < m.width(); ++x) {
+      if (m.get(x, y) && !e.contains(x, y)) {
+        return ::testing::AssertionFailure()
+               << "set pixel (" << x << "," << y << ") outside extent ["
+               << e.x0 << "," << e.x1 << ")x[" << e.y0 << "," << e.y1 << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Same size, same bits, and the extent invariant holds on `actual`.
+::testing::AssertionResult same_mask(const InstanceMask& actual,
+                                     const InstanceMask& expected) {
+  if (actual.width() != expected.width() ||
+      actual.height() != expected.height()) {
+    return ::testing::AssertionFailure() << "size differs";
+  }
+  for (int y = 0; y < actual.height(); ++y) {
+    for (int x = 0; x < actual.width(); ++x) {
+      if (actual.get(x, y) != expected.get(x, y)) {
+        return ::testing::AssertionFailure()
+               << "bit differs at (" << x << "," << y << ")";
+      }
+    }
+  }
+  return extent_holds(actual);
+}
+
+/// A random mask: a few rectangles and disks (some crossing the frame
+/// border), salt noise, and random clears that leave the extent loose.
+InstanceMask random_mask(Rng& rng, int w, int h) {
+  InstanceMask m(w, h);
+  const int shapes = rand_int(rng, 0, 4);
+  for (int s = 0; s < shapes; ++s) {
+    const int cx = rand_int(rng, -8, w + 8), cy = rand_int(rng, -8, h + 8);
+    const int r = rand_int(rng, 1, std::max(2, std::min(w, h) / 3));
+    const bool disk = rng.uniform() < 0.5;
+    for (int y = cy - r; y <= cy + r; ++y) {
+      for (int x = cx - r; x <= cx + r; ++x) {
+        if (!disk || (x - cx) * (x - cx) + (y - cy) * (y - cy) <= r * r) {
+          m.set(x, y);  // out-of-frame sets are no-ops
+        }
+      }
+    }
+  }
+  const int salt = rand_int(rng, 0, 20);
+  for (int i = 0; i < salt; ++i) {
+    const int x = rand_int(rng, 0, w - 1), y = rand_int(rng, 0, h - 1);
+    m.set(x, y);
+  }
+  const int clears = rand_int(rng, 0, 200);
+  for (int i = 0; i < clears; ++i) {
+    const int x = rand_int(rng, 0, w - 1), y = rand_int(rng, 0, h - 1);
+    m.set(x, y, false);
+  }
+  return m;
+}
+
+std::vector<InstanceMask> random_masks(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<InstanceMask> out;
+  for (int i = 0; i < count; ++i) {
+    const int w = rand_int(rng, 1, 72), h = rand_int(rng, 1, 56);
+    out.push_back(random_mask(rng, w, h));
+  }
+  out.emplace_back(40, 30);  // empty
+  out.emplace_back();        // zero-sized
+  return out;
+}
+
+bool same_contours(const std::vector<Contour>& a,
+                   const std::vector<Contour>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (std::size_t k = 0; k < a[i].size(); ++k) {
+      if (a[i][k].x != b[i][k].x || a[i][k].y != b[i][k].y) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(MaskExtent, RandomSetClearKeepsEverySetPixelInside) {
+  Rng rng(101);
+  InstanceMask m(50, 40);
+  EXPECT_TRUE(m.extent().empty());
+  for (int i = 0; i < 4000; ++i) {
+    // Include out-of-frame coordinates: those writes must be no-ops.
+    const int x = rand_int(rng, -3, 52), y = rand_int(rng, -3, 42);
+    m.set(x, y, rng.uniform() < 0.6);
+    if (i % 97 == 0) {
+      ASSERT_TRUE(extent_holds(m)) << "after op " << i;
+    }
+  }
+  EXPECT_TRUE(extent_holds(m));
+  EXPECT_TRUE(InstanceMask().extent().empty());
+}
+
+TEST(MaskExtent, SingleSetGivesOnePixelExtent) {
+  InstanceMask m(10, 10);
+  m.set(3, 7);
+  EXPECT_EQ(m.extent(), (Box{3, 7, 4, 8}));
+  m.set(3, 7, false);  // clearing leaves the bound as it is
+  EXPECT_EQ(m.extent(), (Box{3, 7, 4, 8}));
+  EXPECT_EQ(m.pixel_count(), 0);
+  EXPECT_FALSE(m.bounding_box().has_value());
+}
+
+TEST(MaskExtent, CountAndBoundingBoxMatchFullFrame) {
+  for (const auto& m : random_masks(1, 300)) {
+    EXPECT_TRUE(extent_holds(m));
+    EXPECT_EQ(m.pixel_count(), ref_pixel_count(m));
+    EXPECT_EQ(m.bounding_box(), ref_bounding_box(m));
+  }
+}
+
+TEST(MaskExtent, IouMatchesFullFrameIncludingMixedSizes) {
+  const auto masks = random_masks(2, 120);
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    for (std::size_t j = i; j < masks.size(); j += 7) {
+      EXPECT_EQ(masks[i].iou(masks[j]), ref_iou(masks[i], masks[j]))
+          << i << " vs " << j;
+      EXPECT_EQ(masks[j].iou(masks[i]), ref_iou(masks[j], masks[i]));
+    }
+  }
+}
+
+TEST(MaskExtent, TranslatedMatchesFullFrameIncludingOffFrameShifts) {
+  Rng rng(3);
+  for (const auto& m : random_masks(3, 150)) {
+    for (int k = 0; k < 4; ++k) {
+      // Shifts up to twice the frame size push some or all pixels out.
+      const int dx = rand_int(rng, -2 * m.width() - 1, 2 * m.width() + 1);
+      const int dy = rand_int(rng, -2 * m.height() - 1, 2 * m.height() + 1);
+      const auto t = m.translated(dx, dy);
+      EXPECT_TRUE(same_mask(t, ref_translated(m, dx, dy)))
+          << "shift " << dx << "," << dy;
+      EXPECT_EQ(t.pixel_count(), ref_pixel_count(t));
+    }
+  }
+}
+
+TEST(MaskExtent, DilateAndErodeMatchFullFrame) {
+  for (const auto& m : random_masks(4, 120)) {
+    for (int r : {0, 1, 2, 3}) {
+      const auto d = m.dilated(r);
+      const auto e = m.eroded(r);
+      EXPECT_TRUE(same_mask(d, ref_dilated(m, r))) << "dilate " << r;
+      EXPECT_TRUE(same_mask(e, ref_eroded(m, r))) << "erode " << r;
+      EXPECT_EQ(d.pixel_count(), ref_pixel_count(d));
+      EXPECT_EQ(e.bounding_box(), ref_bounding_box(e));
+    }
+  }
+}
+
+TEST(MaskExtent, FindContoursMatchesFullFrameOrderAndPoints) {
+  for (const auto& m : random_masks(5, 300)) {
+    EXPECT_TRUE(same_contours(find_contours(m), ref_find_contours(m)));
+  }
+  // Loose extents: contours of eroded and shifted masks.
+  for (const auto& m : random_masks(6, 80)) {
+    const auto e = m.eroded(1);
+    const auto t = m.translated(3, -2);
+    EXPECT_TRUE(same_contours(find_contours(e), ref_find_contours(e)));
+    EXPECT_TRUE(same_contours(find_contours(t), ref_find_contours(t)));
+  }
+}
+
+TEST(MaskExtent, RasterizeMatchesFullFrameOnRandomPolygons) {
+  Rng rng(7);
+  for (int i = 0; i < 400; ++i) {
+    const int w = rand_int(rng, 1, 80), h = rand_int(rng, 1, 60);
+    // Vertices range well past the frame on every side. Every other
+    // polygon sits on the half-pixel grid, where row centres land exactly
+    // on vertices and the first and last filled rows are decided by ties.
+    const bool half_grid = i % 2 == 1;
+    Contour poly(static_cast<std::size_t>(rand_int(rng, 0, 9)));
+    for (auto& p : poly) {
+      p = {rng.uniform(-1.5 * w, 2.5 * w), rng.uniform(-1.5 * h, 2.5 * h)};
+      if (half_grid) p = {std::round(2 * p.x) / 2, std::round(2 * p.y) / 2};
+    }
+    const auto m = rasterize_polygon(poly, w, h);
+    EXPECT_TRUE(same_mask(m, ref_rasterize(poly, w, h))) << "polygon " << i;
+    EXPECT_EQ(m.pixel_count(), ref_pixel_count(m));
+  }
+}
+
+TEST(MaskExtent, RasterizeContourRoundTripMatchesFullFrame) {
+  for (const auto& m : random_masks(8, 150)) {
+    for (const auto& c : find_contours(m)) {
+      EXPECT_TRUE(same_mask(rasterize_polygon(c, m.width(), m.height()),
+                            ref_rasterize(c, m.width(), m.height())));
+    }
+  }
+}
+
+TEST(MaskExtent, RasterizeDegenerateAndExtremePolygons) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Contour> polys = {
+      {{5, 5}, {5, 5}, {5, 5}},                       // one point
+      {{1, 1}, {20, 20}, {10, 10}},                   // collinear
+      {{2, 4}, {30, 4}, {16, 4}},                     // horizontal line
+      {{-50, -50}, {-10, -50}, {-10, -10}},           // fully left/above
+      {{10, 100}, {30, 100}, {20, 140}},              // fully below
+      {{-1e9, -1e9}, {1e9, -1e9}, {1e9, 1e9}, {-1e9, 1e9}},  // covers all
+      {{-1e300, 5}, {1e300, 5}, {0, 25}},             // huge x
+      {{10, -1e300}, {30, 1e300}, {5, 20}},           // huge y
+      {{0, 0}, {1.7e308, 10}, {-1.7e308, 20}},        // overflowing span
+      {{10, 10}, {30, 12}, {nan, 25}, {8, 30}},       // NaN x
+      {{10, 10}, {30, nan}, {20, 30}},                // NaN y
+      {{nan, nan}, {nan, nan}, {nan, nan}},           // all NaN
+      {{10, 10}, {inf, 20}, {10, 30}},                // infinite x
+      {{10, -inf}, {30, 12}, {20, inf}},              // infinite y
+      {{0, 0}, {65535, 0}, {65535, 65535}, {0, 65535}},  // wire maximum
+  };
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    const auto m = rasterize_polygon(polys[i], 40, 32);
+    EXPECT_TRUE(same_mask(m, ref_rasterize(polys[i], 40, 32))) << "poly " << i;
+  }
+  EXPECT_EQ(rasterize_polygon(polys[5], 40, 32).pixel_count(), 40 * 32);
+  EXPECT_EQ(rasterize_polygon(polys[11], 40, 32).pixel_count(), 0);
+}
+
+TEST(MaskExtent, MaskFromIdImageMatchesFullFrame) {
+  Rng rng(9);
+  for (int i = 0; i < 60; ++i) {
+    const int w = rand_int(rng, 1, 70), h = rand_int(rng, 1, 50);
+    edgeis::img::IdImage ids(w, h, 0);
+    const int blobs = rand_int(rng, 0, 6);
+    for (int b = 0; b < blobs; ++b) {
+      const auto id = static_cast<std::uint16_t>(rand_int(rng, 1, 4));
+      const int x0 = rand_int(rng, 0, w - 1), y0 = rand_int(rng, 0, h - 1);
+      const int x1 = rand_int(rng, x0, w - 1), y1 = rand_int(rng, y0, h - 1);
+      for (int y = y0; y <= y1; ++y) {
+        for (int x = x0; x <= x1; ++x) ids.at(x, y) = id;
+      }
+    }
+    for (std::uint16_t id = 0; id <= 5; ++id) {
+      const auto m = mask_from_id_image(ids, id);
+      EXPECT_TRUE(same_mask(m, ref_mask_from_ids(ids, id)));
+      EXPECT_EQ(m.pixel_count(), ref_pixel_count(m));
+      EXPECT_EQ(m.bounding_box(), ref_bounding_box(m));
+    }
+    // One pass for many ids, in the caller's order, repeats and the
+    // background id included.
+    const std::vector<std::uint16_t> wanted = {3, 1, 0, 5, 3, 2, 4};
+    const auto split = split_id_image(ids, wanted);
+    ASSERT_EQ(split.size(), wanted.size());
+    for (std::size_t k = 0; k < wanted.size(); ++k) {
+      EXPECT_EQ(split[k].instance_id, wanted[k]);
+      EXPECT_TRUE(same_mask(split[k], ref_mask_from_ids(ids, wanted[k])));
+    }
+  }
+  EXPECT_TRUE(split_id_image(edgeis::img::IdImage(8, 8, 1), {}).empty());
+}
+
+TEST(MaskExtent, FullFrameSizedOpsMatchReference) {
+  // One frame-sized pass over every op, at the pipeline's 640x480.
+  Rng rng(10);
+  for (int i = 0; i < 3; ++i) {
+    const auto a = random_mask(rng, 640, 480);
+    const auto b = random_mask(rng, 640, 480);
+    EXPECT_EQ(a.pixel_count(), ref_pixel_count(a));
+    EXPECT_EQ(a.bounding_box(), ref_bounding_box(a));
+    EXPECT_EQ(a.iou(b), ref_iou(a, b));
+    EXPECT_TRUE(same_mask(a.translated(-37, 21), ref_translated(a, -37, 21)));
+    EXPECT_TRUE(same_mask(a.dilated(2), ref_dilated(a, 2)));
+    EXPECT_TRUE(same_mask(a.eroded(2), ref_eroded(a, 2)));
+    const auto cs = find_contours(a);
+    EXPECT_TRUE(same_contours(cs, ref_find_contours(a)));
+    for (const auto& c : cs) {
+      EXPECT_TRUE(same_mask(rasterize_polygon(c, 640, 480),
+                            ref_rasterize(c, 640, 480)));
+    }
+  }
 }

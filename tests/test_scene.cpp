@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "scene/mesh.hpp"
 #include "scene/presets.hpp"
@@ -421,4 +423,58 @@ TEST(StressPresets, CrowdIsCrowdedAndDynamic) {
   }
   EXPECT_GE(dynamic, 4);
   EXPECT_GE(scripted_presence, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned render of the stress-occlusion preset at the scenario matrix's
+// configuration (seed 42, 240 frames, native 640x480). The scenario-matrix
+// headline (bench/expected/scenario_matrix_headline.txt) is downstream of
+// these pixels, so a scene or renderer change fails here, by name, instead
+// of silently moving that file. After an intended change, replace the
+// digests with the values the failure prints and state the cause.
+
+namespace {
+
+/// FNV-1a over the intensity bytes, then the instance ids as little-endian
+/// byte pairs, row-major.
+std::uint64_t frame_digest(const RenderedFrame& frame) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  for (int y = 0; y < frame.intensity.height(); ++y) {
+    const auto* row = frame.intensity.row(y);
+    for (int x = 0; x < frame.intensity.width(); ++x) mix(row[x]);
+  }
+  for (int y = 0; y < frame.instance_ids.height(); ++y) {
+    const auto* row = frame.instance_ids.row(y);
+    for (int x = 0; x < frame.instance_ids.width(); ++x) {
+      mix(static_cast<std::uint8_t>(row[x] & 0xff));
+      mix(static_cast<std::uint8_t>(row[x] >> 8));
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(StressPresets, OcclusionRenderMatchesPinnedDigests) {
+  const SceneConfig cfg = make_stress_scene(StressRegime::kOcclusion, 42, 240);
+  SceneSimulator sim(cfg);
+  // Before, during and after the occluder sweep.
+  const std::pair<int, std::uint64_t> pinned[] = {
+      {0, 12593901109583431769ull},
+      {90, 5205963275184356742ull},
+      {130, 14835557599862154023ull},
+      {220, 17981662475536936932ull},
+  };
+  for (const auto& [index, digest] : pinned) {
+    const auto frame = sim.render(index);
+    ASSERT_EQ(frame.intensity.width(), 640);
+    ASSERT_EQ(frame.intensity.height(), 480);
+    EXPECT_EQ(frame_digest(frame), digest)
+        << "stress-occlusion frame " << index << " digest moved; new value "
+        << frame_digest(frame) << "ull";
+  }
 }
