@@ -134,19 +134,9 @@ int main(int argc, char** argv) {
   scene::SceneSimulator sim(scene_cfg);
   rt::Tracer tracer;
   const bool tracing = !trace_path.empty();
-  // With --metrics, the edgeIS pipeline streams its ledger counters, RTT
-  // estimator gauges and the mask-staleness sketch into the registry live
-  // (pre-registered handles, no per-event lookups); the remaining summary
-  // fields are filled in after the run below.
-  rt::MetricsRegistry reg;
-  auto* eis_live = metrics_path.empty()
-                       ? nullptr
-                       : dynamic_cast<core::EdgeISPipeline*>(pipeline.get());
-  if (eis_live != nullptr) eis_live->set_metrics(&reg);
   const auto r =
       core::run_pipeline(sim, *pipeline, /*warmup_frames=*/45,
                          /*memory_sample=*/10, tracing ? &tracer : nullptr);
-  if (eis_live != nullptr) eis_live->set_metrics(nullptr);
 
   std::printf("system=%s dataset=%s link=%s frames=%d seed=%llu\n",
               pipeline->name().c_str(), dataset.c_str(), link.c_str(),
@@ -161,18 +151,17 @@ int main(int argc, char** argv) {
   std::printf("cpu_utilization=%.3f\n", r.mean_cpu_utilization);
   std::printf("peak_memory_mb=%.2f\n",
               static_cast<double>(r.peak_memory_bytes) / 1048576.0);
-  if (cfg.encoding.uplink == enc::UplinkMode::kDelta) {
-    if (auto* eis = dynamic_cast<core::EdgeISPipeline*>(pipeline.get())) {
-      const auto h = eis->link_health();
-      const long long total = h.canvas_tiles_sent + h.canvas_tiles_reused;
-      std::printf("canvas_deltas=%d\n", h.canvas_deltas);
-      std::printf("canvas_full_keyframes=%d\n", h.canvas_full_keyframes);
-      std::printf("canvas_resyncs=%d\n", h.canvas_resyncs);
-      std::printf("canvas_hit_rate=%.4f\n",
-                  total > 0 ? static_cast<double>(h.canvas_tiles_reused) /
-                                  static_cast<double>(total)
-                            : 0.0);
-    }
+  const auto* eis = dynamic_cast<core::EdgeISPipeline*>(pipeline.get());
+  if (eis != nullptr && cfg.encoding.uplink == enc::UplinkMode::kDelta) {
+    const auto h = eis->link_health();
+    const long long total = h.canvas_tiles_sent + h.canvas_tiles_reused;
+    std::printf("canvas_deltas=%d\n", h.canvas_deltas);
+    std::printf("canvas_full_keyframes=%d\n", h.canvas_full_keyframes);
+    std::printf("canvas_resyncs=%d\n", h.canvas_resyncs);
+    std::printf("canvas_hit_rate=%.4f\n",
+                total > 0 ? static_cast<double>(h.canvas_tiles_reused) /
+                                static_cast<double>(total)
+                          : 0.0);
   }
 
   if (tracing) {
@@ -185,6 +174,7 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
+    rt::MetricsRegistry reg;
     reg.gauge_handle("mean_iou").set(r.summary.mean_iou);
     reg.gauge_handle("false_rate_strict").set(r.summary.false_rate_strict);
     reg.gauge_handle("false_rate_loose").set(r.summary.false_rate_loose);
@@ -196,11 +186,12 @@ int main(int argc, char** argv) {
     reg.counter_handle("tx_bytes").add(static_cast<double>(r.total_tx_bytes));
     reg.counter_handle("peak_memory_bytes")
         .add(static_cast<double>(r.peak_memory_bytes));
-    if (eis_live != nullptr) {
-      // The ledger counters, srtt/rto gauges and the staleness sketch
-      // were streamed live through set_metrics during the run; only the
-      // fields without live handles are filled from the health summary.
-      const auto h = eis_live->link_health();
+    if (eis != nullptr) {
+      // The link health record, exported once now that the run is over:
+      // the same keys a fleet run writes per client, plus the fault and
+      // RTO fields only this single-session view reports.
+      const auto h = eis->link_health();
+      rt::export_link_health(h, reg);
       reg.counter_handle("uplink_drops").add(h.uplink_drops);
       reg.counter_handle("downlink_drops").add(h.downlink_drops);
       reg.gauge_handle("time_in_degraded_ms").set(h.time_in_degraded_ms);

@@ -170,14 +170,8 @@ class EdgeServer {
   [[nodiscard]] int pending(double now_ms) const;
 
   [[nodiscard]] double busy_until_ms() const;
-  [[nodiscard]] const segnet::SegmentationModel& model() const {
-    return model_;
-  }
   [[nodiscard]] const net::FaultInjector& uplink_faults() const {
     return uplink_faults_;
-  }
-  [[nodiscard]] const net::SendQueue& uplink_queue() const {
-    return uplink_queue_;
   }
 
  private:

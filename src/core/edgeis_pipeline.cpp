@@ -7,7 +7,6 @@
 #include "core/local_trackers.hpp"
 #include "encoding/tiles.hpp"
 #include "features/matcher.hpp"
-#include "net/link.hpp"
 #include "net/protocol.hpp"
 #include "runtime/log.hpp"
 
@@ -15,10 +14,30 @@ namespace edgeis::core {
 
 namespace {
 
-/// Null-safe handle bump: live-metrics pointers are null when no registry
-/// is attached, and the increments sit on ledger hot paths.
-inline void bump(rt::Counter* counter) {
-  if (counter != nullptr) counter->add();
+/// Bounding box of this frame's features matched to map points that pass
+/// `keep`, inflated by `margin`; nullopt below `min_count` such features.
+template <typename Keep>
+std::optional<mask::Box> matched_feature_box(const vo::FrameObservation& obs,
+                                             const vo::Map& map,
+                                             const geom::PinholeCamera& cam,
+                                             int min_count, int margin,
+                                             Keep keep) {
+  int count = 0;
+  mask::Box box{cam.width, cam.height, 0, 0};
+  for (std::size_t i = 0; i < obs.features.size(); ++i) {
+    const int pid = obs.matched_point_ids[i];
+    if (pid < 0) continue;
+    const vo::MapPoint* mp = map.find(pid);
+    if (mp == nullptr || !keep(*mp)) continue;
+    const auto& px = obs.features[i].kp.pixel;
+    box.x0 = std::min(box.x0, static_cast<int>(px.x));
+    box.y0 = std::min(box.y0, static_cast<int>(px.y));
+    box.x1 = std::max(box.x1, static_cast<int>(px.x) + 1);
+    box.y1 = std::max(box.y1, static_cast<int>(px.y) + 1);
+    ++count;
+  }
+  if (count < min_count || box.empty()) return std::nullopt;
+  return box.inflated(margin, cam.width, cam.height);
 }
 
 }  // namespace
@@ -32,527 +51,63 @@ EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
             net::FaultInjector(config_.faults.uplink,
                                rt::Rng(config_.seed ^ 0xfa017ULL)),
             net::SendQueue(config_.link, rt::Rng(config_.seed ^ 0x5af1ULL))),
-      render_queue_(scene_config.fps),
-      downlink_faults_(config_.faults.downlink,
-                       rt::Rng(config_.seed ^ 0xfa02eULL)),
-      downlink_queue_(config_.link, rt::Rng(config_.seed ^ 0xd0171ULL)),
-      rto_(config_.rto, 2.0 * config_.link.base_latency_ms +
-                            config_.rto.initial_compute_guess_ms) {
+      ledger_(config_, edge_, *this),
+      render_queue_(scene_config.fps) {
   uplink_encoder_ = enc::make_uplink_encoder(config_.encoding);
   edge_.configure_canvas(config_.encoding.canvas);
 }
 
 EdgeISPipeline::~EdgeISPipeline() = default;
 
-void EdgeISPipeline::set_metrics(rt::MetricsRegistry* metrics) {
-  live_ = LiveMetrics();
-  if (metrics == nullptr) return;
-  live_.requests_sent = &metrics->counter_handle("requests_sent");
-  live_.retransmissions = &metrics->counter_handle("retransmissions");
-  live_.attempt_timeouts = &metrics->counter_handle("attempt_timeouts");
-  live_.requests_failed = &metrics->counter_handle("requests_failed");
-  live_.responses_received = &metrics->counter_handle("responses_received");
-  live_.stale_responses = &metrics->counter_handle("stale_responses");
-  live_.spurious_retransmissions =
-      &metrics->counter_handle("spurious_retransmissions");
-  live_.chunks_received = &metrics->counter_handle("chunks_received");
-  live_.duplicate_chunks = &metrics->counter_handle("duplicate_chunks");
-  live_.partial_applies = &metrics->counter_handle("partial_applies");
-  live_.resend_requests = &metrics->counter_handle("resend_requests");
-  live_.admission_rejects = &metrics->counter_handle("admission_rejects");
-  live_.busy_pings = &metrics->counter_handle("busy_pings");
-  live_.probes_sent = &metrics->counter_handle("probes_sent");
-  live_.degraded_entries = &metrics->counter_handle("degraded_entries");
-  live_.degraded_frames = &metrics->counter_handle("degraded_frames");
-  live_.refresh_requests = &metrics->counter_handle("refresh_requests");
-  live_.canvas_deltas = &metrics->counter_handle("canvas_deltas");
-  live_.canvas_resyncs = &metrics->counter_handle("canvas_resyncs");
-  live_.srtt_ms = &metrics->gauge_handle("srtt_ms");
-  live_.rto_ms = &metrics->gauge_handle("rto_ms");
-  live_.mask_staleness_ms = &metrics->sketch_handle("mask_staleness_ms");
-}
-
-void EdgeISPipeline::deliver_due_responses(double now_ms) {
-  auto it = pending_.begin();
-  while (it != pending_.end()) {
-    if (it->deliver_at_ms > now_ms) {
-      ++it;
-      continue;
-    }
-    EdgeServer::Response resp = std::move(it->response);
-    it = pending_.erase(it);
-
-    // Match the response to its ledger entry. Unmatched deliveries are
-    // duplicates or answers to abandoned requests: ignore them wholesale —
-    // annotating an ancient keyframe would only corrupt the tracker.
-    const auto entry = std::find_if(
-        ledger_.begin(), ledger_.end(), [&](const LedgerEntry& e) {
-          return !e.dead && e.request_id == resp.frame_index &&
-                 e.is_ping == resp.is_ping;
-        });
-    if (entry == ledger_.end()) {
-      ++health_.stale_responses;
-      bump(live_.stale_responses);
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "stale_response", now_ms,
-                         {{"request", resp.frame_index},
-                          {"attempt", resp.attempt}});
-      }
-      continue;
-    }
-    // Admission-control pushback from a shared GPU. The server answered —
-    // the link is fine — so a reject neither exits degraded mode nor
-    // feeds the RTT estimator; it only means "come back later". An
-    // inference reject inflates the timeout backoff like a loss would, so
-    // a client hammering a saturated gate backs off exponentially and
-    // eventually parks itself in degraded mode (MAMT carries the masks
-    // forward locally) until a clean probe proves the queue drained. A
-    // busy ping echo is that probe failing: the client stays parked.
-    if (resp.rejected) {
-      if (resp.is_ping) {
-        ++health_.busy_pings;
-        bump(live_.busy_pings);
-        if (tracer_ != nullptr) {
-          tracer_->instant(rt::track::kLedger, "ping_busy", now_ms,
-                           {{"request", resp.frame_index}});
-        }
-        ledger_.erase(entry);
-        continue;
-      }
-      ++health_.admission_rejects;
-      bump(live_.admission_rejects);
-      rto_.on_timeout();
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "admission_reject", now_ms,
-                         {{"request", resp.frame_index},
-                          {"attempt", resp.attempt}});
-      }
-      trace_rto_counters(now_ms);
-      const bool was_init = entry->is_init;
-      ledger_.erase(entry);
-      // A rejected init-pair half voids the pair (both halves must be
-      // annotated); bootstrap restarts once the gate opens.
-      if (was_init) abort_initialization();
-      continue;
-    }
-    // Canvas-delta pushback: the edge refused to reconstruct (epoch
-    // mismatch or cold canvas). The link answered — clear the timeout
-    // inflation — but the canvas chain is broken: mark the encoder
-    // diverged and owe the edge a full keyframe. Never an init request
-    // (bootstrap uploads are always full keyframes).
-    if (resp.canvas_resync) {
-      ++health_.canvas_resyncs;
-      bump(live_.canvas_resyncs);
-      rto_.reset_backoff();
-      uplink_encoder_->mark_diverged();
-      if (phase_ == Phase::kRunning) force_refresh_ = true;
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "canvas_resync", now_ms,
-                         {{"request", resp.frame_index},
-                          {"attempt", resp.attempt}});
-      }
-      ledger_.erase(entry);
-      continue;
-    }
-    // Feed the RTT estimator. Karn's rule: a retransmitted request is
-    // ambiguous (which attempt does this response answer?) and is never
-    // sampled; it does not deflate the timeout backoff either — the
-    // inflated RTO stands until a never-retransmitted request (or ping)
-    // completes cleanly. An attempt-0 response overtaken by a
-    // retransmission proves the deadline fired on a slow response, not a
-    // lost one — the definition of a spurious retransmission. Streamed
-    // responses sample per chunk: every chunk of a clean first attempt is
-    // an independent observation of the (stream-position-weighted) round
-    // trip. Resent chunks answer a retransmitted request — never sampled.
-    if (resp.attempt < entry->attempt) {
-      ++health_.spurious_retransmissions;
-      bump(live_.spurious_retransmissions);
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "spurious_retransmission",
-                         now_ms, {{"request", resp.frame_index}});
-      }
-    }
-    if (entry->attempt == 0 && !resp.is_resend) {
-      rto_.sample(now_ms - entry->sent_ms);
-      trace_rto_counters(now_ms);
-    } else {
-      // Forward progress on a retransmitted attempt is unsampleable under
-      // Karn's rule, but the link answered: the timeout inflation is no
-      // longer warranted. Without this, a stream that loses one chunk per
-      // round would compound its backoff into degraded mode while chunks
-      // are demonstrably arriving.
-      rto_.reset_backoff();
-    }
-    if (degraded_) {
-      // Any delivery proves the link is back. A ping carries no masks, so
-      // recovery via ping owes the tracker a full-quality refresh; an
-      // inference chunk is itself fresh annotation.
-      degraded_ = false;
-      if (resp.is_ping && phase_ == Phase::kRunning) force_refresh_ = true;
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "degraded.exit", now_ms,
-                         {{"via_ping", resp.is_ping}});
-      }
-    }
-    if (resp.is_ping) {
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "ping_response", now_ms,
-                         {{"request", resp.frame_index},
-                          {"attempt", resp.attempt},
-                          {"rtt_ms", now_ms - entry->sent_ms}});
-      }
-      ledger_.erase(entry);
-      ++health_.responses_received;
-      bump(live_.responses_received);
-      continue;
-    }
-    accept_chunk(entry, resp, now_ms);
-  }
-}
-
-bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
-                                  EdgeServer::Response& resp,
-                                  double now_ms) {
-  LedgerEntry& e = *it;
-  if (e.chunks_expected == 0) {
-    e.chunks_expected = std::max(resp.chunk_count, 1);
-    e.chunk_have.assign(static_cast<std::size_t>(e.chunks_expected), false);
-  }
-  if (resp.chunk_index < 0 || resp.chunk_index >= e.chunks_expected ||
-      e.chunk_have[static_cast<std::size_t>(resp.chunk_index)]) {
-    // Downlink duplicate or a resend racing the original: idempotent.
-    ++health_.duplicate_chunks;
-    bump(live_.duplicate_chunks);
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "duplicate_chunk", now_ms,
-                       {{"request", resp.frame_index},
-                        {"chunk", resp.chunk_index}});
-    }
-    return false;
-  }
-  e.chunk_have[static_cast<std::size_t>(resp.chunk_index)] = true;
-  ++e.chunks_received;
-  ++health_.chunks_received;
-  bump(live_.chunks_received);
-  e.stats = resp.stats;
-  e.response_bytes += resp.payload_bytes;
-  if (resp.is_resend) e.resent_bytes += resp.payload_bytes;
-  for (auto& m : resp.masks) e.arrived_masks.push_back(std::move(m));
-  const bool complete = e.chunks_received == e.chunks_expected;
-  if (tracer_ != nullptr) {
-    tracer_->instant(rt::track::kLedger, "chunk", now_ms,
-                     {{"request", resp.frame_index},
-                      {"attempt", resp.attempt},
-                      {"chunk", resp.chunk_index},
-                      {"received", e.chunks_received},
-                      {"expected", e.chunks_expected},
-                      {"resend", resp.is_resend},
-                      {"bytes", resp.payload_bytes}});
-  }
-
-  // Apply whatever has arrived: a partial set still annotates the keyframe
-  // and refreshes the fallback cache, so the renderer never waits for the
-  // stream's tail (the point of streaming the response at all).
-  if (phase_ == Phase::kRunning && !e.is_init && tracker_ != nullptr) {
-    tracker_->annotate_keyframe(e.frame_index, e.arrived_masks);
-    for (const auto& m : e.arrived_masks) {
-      auto cached = std::find_if(
-          cached_masks_.begin(), cached_masks_.end(),
-          [&](const mask::InstanceMask& c) {
-            return c.instance_id == m.instance_id;
-          });
-      if (cached != cached_masks_.end()) {
-        *cached = m;
-      } else {
-        cached_masks_.push_back(m);
-      }
-    }
-    last_annotation_ms_ = now_ms;
-    if (!complete) {
-      ++health_.partial_applies;
-      bump(live_.partial_applies);
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "partial_apply", now_ms,
-                         {{"frame", e.frame_index},
-                          {"received", e.chunks_received},
-                          {"expected", e.chunks_expected}});
-      }
-    }
-  }
-
-  if (!complete) {
-    // Streaming progress must not time out between chunks: every applied
-    // chunk renews the entry's deadline and cancels a pending backoff.
-    e.deadline_ms = now_ms + rto_.rto_ms();
-    e.resend_at_ms = -1.0;
-    return false;
-  }
-
-  if (e.resend_audit >= 0) {
-    auto& audit = resend_audits_[static_cast<std::size_t>(e.resend_audit)];
-    audit.full_response_bytes = e.response_bytes;
-    audit.resent_bytes = e.resent_bytes;
-    audit.completed = true;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->instant(rt::track::kLedger, "response", now_ms,
-                     {{"request", e.request_id},
-                      {"attempt", resp.attempt},
-                      {"rtt_ms", now_ms - e.sent_ms},
-                      {"chunks", e.chunks_expected},
-                      {"bytes", e.response_bytes}});
-  }
-  edge_stats_.push_back(e.stats);
-  last_annotation_ms_ = now_ms;
-
+bool EdgeISPipeline::on_masks(int frame_index, bool is_init,
+                              std::vector<mask::InstanceMask>& masks,
+                              bool complete, double now_ms) {
+  if (complete) last_annotation_ms_ = now_ms;
   if (phase_ == Phase::kAwaitInitMasks) {
-    if (init_ref_ && e.frame_index == init_ref_->frame_index) {
-      init_ref_->edge_masks = std::move(e.arrived_masks);
+    if (!complete) return false;
+    if (init_ref_ && frame_index == init_ref_->frame_index) {
+      init_ref_->edge_masks = std::move(masks);
     } else if (init_pair_second_ &&
-               e.frame_index == init_pair_second_->frame_index) {
-      init_pair_second_->edge_masks = std::move(e.arrived_masks);
+               frame_index == init_pair_second_->frame_index) {
+      init_pair_second_->edge_masks = std::move(masks);
     }
-    ledger_.erase(it);
-    ++health_.responses_received;
-    bump(live_.responses_received);
     try_initialize();
-    return true;
+    return false;
   }
-  if (phase_ == Phase::kRunning && !e.is_init) {
+  if (phase_ != Phase::kRunning || is_init || tracker_ == nullptr) {
+    return false;
+  }
+  tracker_->annotate_keyframe(frame_index, masks);
+  last_annotation_ms_ = now_ms;
+  if (complete) {
     if (rt::Log::enabled(rt::LogSub::kNet, rt::LogLevel::kDebug)) {
       std::string ids;
-      for (const auto& m : e.arrived_masks) {
-        ids += std::to_string(m.instance_id) + ' ';
-      }
-      rt::Log::debug(rt::LogSub::kNet, "resp kf=%d masks=[%s]",
-                     e.frame_index, ids.c_str());
+      for (const auto& m : masks) ids += std::to_string(m.instance_id) + ' ';
+      rt::Log::debug(rt::LogSub::kNet, "resp kf=%d masks=[%s]", frame_index,
+                     ids.c_str());
     }
     // The completed set replaces the cache wholesale: instances absent
     // from this response have left the scene and must stop rendering.
-    cached_masks_ = std::move(e.arrived_masks);
+    cached_masks_ = std::move(masks);
+    return true;
   }
-  ledger_.erase(it);
-  ++health_.responses_received;
-  bump(live_.responses_received);
+  for (const auto& m : masks) {
+    auto cached = std::find_if(
+        cached_masks_.begin(), cached_masks_.end(),
+        [&](const mask::InstanceMask& c) {
+          return c.instance_id == m.instance_id;
+        });
+    if (cached != cached_masks_.end()) {
+      *cached = m;
+    } else {
+      cached_masks_.push_back(m);
+    }
+  }
   return true;
 }
 
-void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
-  if (e.is_ping) {
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "send", now_ms,
-                       {{"request", e.request_id},
-                        {"attempt", e.attempt},
-                        {"bytes", e.bytes},
-                        {"ping", true}});
-    }
-    edge_.submit_ping(e.request_id, now_ms);
-  } else if (e.chunks_received > 0 && e.chunks_received < e.chunks_expected) {
-    // Partial response on the books: retransmit the *missing chunk set*,
-    // not the keyframe. The request names chunks by index (the receiver
-    // never learned the instance ids of chunks that didn't arrive); the
-    // edge answers from its result cache without re-running inference.
-    net::ResendRequestMessage req;
-    req.frame_index = e.frame_index;
-    std::vector<int> missing;
-    for (int i = 0; i < e.chunks_expected; ++i) {
-      if (!e.chunk_have[static_cast<std::size_t>(i)]) {
-        req.chunk_indices.push_back(i);
-        missing.push_back(i);
-      }
-    }
-    const std::size_t bytes = net::Codec::wire_bytes(req);
-    ++health_.resend_requests;
-    bump(live_.resend_requests);
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "resend_missing", now_ms,
-                       {{"request", e.request_id},
-                        {"attempt", e.attempt},
-                        {"missing", missing.size()},
-                        {"of", e.chunks_expected},
-                        {"bytes", bytes}});
-    }
-    ResendAudit audit;
-    audit.request_id = e.request_id;
-    audit.chunks_total = e.chunks_expected;
-    audit.chunks_missing = static_cast<int>(missing.size());
-    audit.original_request_bytes = e.bytes;
-    audit.resend_request_bytes = bytes;
-    e.resend_audit = static_cast<int>(resend_audits_.size());
-    resend_audits_.push_back(audit);
-    if (!edge_.submit_resend(e.frame_index, now_ms, bytes, missing,
-                             e.attempt)) {
-      // Result cache miss (should not happen once a chunk arrived):
-      // fall back to a full retransmission, without a canvas payload.
-      edge_.submit_keyframe(e.frame_index, now_ms, e.bytes, e.request,
-                            e.attempt);
-    }
-  } else {
-    if (tracer_ != nullptr) {
-      rt::TraceArgs args = {{"request", e.request_id},
-                            {"attempt", e.attempt},
-                            {"bytes", e.bytes},
-                            {"ping", false}};
-      if (!std::holds_alternative<std::monostate>(e.canvas)) {
-        args.emplace_back("delta",
-                          std::holds_alternative<enc::CanvasDelta>(e.canvas));
-      }
-      tracer_->instant(rt::track::kLedger, "send", now_ms, std::move(args));
-    }
-    edge_.submit_keyframe(e.frame_index, now_ms, e.bytes, e.request,
-                          e.attempt, e.canvas);
-  }
-  e.sent_ms = now_ms;
-  e.deadline_ms = now_ms + rto_.rto_ms();
-  e.resend_at_ms = -1.0;
-}
-
-void EdgeISPipeline::queue_response_with_faults(EdgeServer::Response r) {
-  // The response enters the downlink direction of the full-duplex pair:
-  // chunks of one response (and interleaved ping echoes) serialize
-  // back-to-back through the queue, each with its own propagation sample
-  // and fault fate.
-  const auto out = downlink_queue_.enqueue(
-      r.ready_ms, std::max<std::size_t>(r.payload_bytes, 1),
-      downlink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/false, out.slot.enter_ms,
-                      out.slot.transit_ms, r.payload_bytes, out.fate,
-                      r.frame_index, r.attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms,
-                      r.chunk_count > 1 ? r.chunk_index : -1, r.chunk_count,
-                      r.is_resend);
-  if (out.fate.drop) return;  // the ledger deadline will notice
-  if (out.fate.duplicate) {
-    pending_.push_back({out.duplicate_deliver_ms, r});
-  }
-  pending_.push_back({out.deliver_ms, std::move(r)});
-}
-
-void EdgeISPipeline::trace_rto_counters(double now_ms) const {
-  if (live_.srtt_ms != nullptr) live_.srtt_ms->set(rto_.srtt_ms());
-  if (live_.rto_ms != nullptr) live_.rto_ms->set(rto_.rto_ms());
-  if (tracer_ == nullptr) return;
-  tracer_->counter(rt::track::kLedger, "srtt_ms", now_ms, rto_.srtt_ms());
-  tracer_->counter(rt::track::kLedger, "rttvar_ms", now_ms,
-                   rto_.rttvar_ms());
-  tracer_->counter(rt::track::kLedger, "rto_ms", now_ms, rto_.rto_ms());
-  tracer_->counter(rt::track::kLedger, "rto_backoff", now_ms,
-                   rto_.backoff());
-}
-
-void EdgeISPipeline::service_ledger(double now_ms) {
-  bool init_failed = false;
-  for (auto& e : ledger_) {
-    if (e.dead || e.abandoned) continue;
-    if (e.resend_at_ms >= 0.0) {
-      if (now_ms >= e.resend_at_ms) {
-        ++e.attempt;
-        ++health_.retransmissions;
-        bump(live_.retransmissions);
-        if (tracer_ != nullptr) {
-          tracer_->instant(rt::track::kLedger, "retransmit", now_ms,
-                           {{"request", e.request_id},
-                            {"attempt", e.attempt}});
-        }
-        send_attempt(e, now_ms);
-      }
-      continue;
-    }
-    if (now_ms < e.deadline_ms) continue;
-    ++health_.attempt_timeouts;
-    bump(live_.attempt_timeouts);
-    // Inflate the RTO: the next attempt (of any request) waits longer
-    // before concluding loss. Any response deflates it again.
-    rto_.on_timeout();
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "timeout", now_ms,
-                       {{"request", e.request_id},
-                        {"attempt", e.attempt},
-                        {"ping", e.is_ping}});
-      trace_rto_counters(now_ms);
-    }
-    const bool progressed = e.chunks_received > e.chunks_at_last_timeout;
-    e.chunks_at_last_timeout = e.chunks_received;
-    if (e.is_ping || (e.attempt >= config_.max_retries && !progressed)) {
-      // Pings never retry: the probe cadence replaces them.
-      e.dead = true;
-      if (!e.is_ping) {
-        ++health_.requests_failed;
-        bump(live_.requests_failed);
-        // A dead canvas upload may or may not have reached the edge; the
-        // mirror can no longer be trusted to match — force a full resync.
-        if (!std::holds_alternative<std::monostate>(e.canvas)) {
-          uplink_encoder_->mark_diverged();
-        }
-        if (e.is_init) init_failed = true;
-        if (tracer_ != nullptr) {
-          tracer_->instant(rt::track::kLedger, "request_failed", now_ms,
-                           {{"request", e.request_id},
-                            {"init", e.is_init}});
-        }
-      }
-    } else {
-      // exp2 of an unbounded attempt count overflows to inf and schedules
-      // the resend past the end of the scenario; clamp to the same bound
-      // as the RTO itself.
-      e.resend_at_ms =
-          now_ms + std::min(config_.retry_backoff_base_ms *
-                                std::exp2(std::min(e.attempt, 16)),
-                            config_.rto.max_rto_ms);
-    }
-  }
-
-  if (!degraded_ && rto_.backoff() >= config_.degraded_entry_rto_inflation) {
-    degraded_ = true;
-    ++health_.degraded_entries;
-    bump(live_.degraded_entries);
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "degraded.enter", now_ms,
-                       {{"rto_backoff", rto_.backoff()},
-                        {"outstanding", ledger_.size()}});
-    }
-    // Stop paying the link: no more retransmissions for outstanding
-    // inference requests. Their uplink cost is sunk, so keep them
-    // listen-only — a response that was merely late (bandwidth collapse,
-    // not loss) still annotates the tracker and proves the link is back.
-    // MAMT keeps serving masks off the last labeled keyframe; only the
-    // probe cadence touches the radio until the link answers again.
-    // Initialization pairs are the exception: both halves must arrive for
-    // the pair to be usable, so a degraded entry voids them outright and
-    // bootstrap restarts once the link recovers.
-    for (auto& e : ledger_) {
-      if (e.is_ping || e.dead || e.abandoned) continue;
-      if (e.is_init) {
-        e.dead = true;
-        ++health_.requests_failed;
-        bump(live_.requests_failed);
-        init_failed = true;
-      } else {
-        e.abandoned = true;
-        e.resend_at_ms = -1.0;
-        // No further retransmissions: whether this canvas upload made it
-        // to the edge is unknowable, so the delta chain must restart.
-        if (!std::holds_alternative<std::monostate>(e.canvas)) {
-          uplink_encoder_->mark_diverged();
-        }
-        if (tracer_ != nullptr) {
-          tracer_->instant(rt::track::kLedger, "abandon", now_ms,
-                           {{"request", e.request_id},
-                            {"attempt", e.attempt}});
-        }
-      }
-    }
-  }
-
-  std::erase_if(ledger_, [](const LedgerEntry& e) { return e.dead; });
-  if (init_failed) abort_initialization();
-}
-
-void EdgeISPipeline::abort_initialization() {
-  // An init-pair annotation never arrived: both requests are void. Fall
-  // back to bootstrap; the existing reference-reset interval picks a fresh
-  // pair once the link cooperates.
-  std::erase_if(ledger_, [](const LedgerEntry& e) { return e.is_init; });
+void EdgeISPipeline::on_init_voided() {
+  // Back to bootstrap; the reference-reset interval picks a fresh pair.
   init_pair_second_.reset();
   probe_map_.reset();
   probe_result_.reset();
@@ -562,35 +117,10 @@ void EdgeISPipeline::abort_initialization() {
   }
 }
 
-bool EdgeISPipeline::has_outstanding_request() const {
-  for (const auto& e : ledger_) {
-    if (!e.is_ping && !e.dead && !e.abandoned) return true;
-  }
-  return false;
-}
+void EdgeISPipeline::on_canvas_broken() { uplink_encoder_->mark_diverged(); }
 
-bool EdgeISPipeline::has_blocking_request() const {
-  for (const auto& e : ledger_) {
-    if (e.is_ping || e.dead || e.abandoned) continue;
-    if (e.chunks_received == 0) return true;
-  }
-  return false;
-}
-
-rt::LinkHealthStats EdgeISPipeline::link_health() const {
-  rt::LinkHealthStats h = health_;
-  const auto& up = edge_.uplink_faults().stats();
-  const auto& down = downlink_faults_.stats();
-  h.uplink_drops = up.total_lost();
-  h.downlink_drops = down.total_lost();
-  h.duplicates_injected = up.duplicated + down.duplicated;
-  h.reorders_injected = up.reordered + down.reordered;
-  h.srtt_ms = rto_.srtt_ms();
-  h.rttvar_ms = rto_.rttvar_ms();
-  h.rto_ms = rto_.rto_ms();
-  h.rtt_samples = rto_.samples();
-  h.rto_backoffs = rto_.timeouts();
-  return h;
+void EdgeISPipeline::on_refresh_owed() {
+  if (phase_ == Phase::kRunning) force_refresh_ = true;
 }
 
 bool EdgeISPipeline::pair_geometry_ok(
@@ -715,29 +245,6 @@ void EdgeISPipeline::try_initialize() {
                  map_.point_count());
 }
 
-std::vector<mask::Box> EdgeISPipeline::new_area_boxes(
-    const vo::FrameObservation& obs) const {
-  // Bounding box of features matched to not-yet-annotated map points: the
-  // "newly emerging scene" region that needs pixel-level annotation.
-  int count = 0;
-  mask::Box box{scene_config_.camera.width, scene_config_.camera.height, 0, 0};
-  for (std::size_t i = 0; i < obs.features.size(); ++i) {
-    const int pid = obs.matched_point_ids[i];
-    if (pid < 0) continue;
-    const vo::MapPoint* mp = map_.find(pid);
-    if (mp == nullptr || mp->annotated) continue;
-    const auto& px = obs.features[i].kp.pixel;
-    box.x0 = std::min(box.x0, static_cast<int>(px.x));
-    box.y0 = std::min(box.y0, static_cast<int>(px.y));
-    box.x1 = std::max(box.x1, static_cast<int>(px.x) + 1);
-    box.y1 = std::max(box.y1, static_cast<int>(px.y) + 1);
-    ++count;
-  }
-  if (count < 10 || box.empty()) return {};
-  return {box.inflated(16, scene_config_.camera.width,
-                       scene_config_.camera.height)};
-}
-
 void EdgeISPipeline::predict_uplink_warp(const vo::FrameObservation& obs,
                                          enc::UplinkFrameInput& in) const {
   if (!have_last_tx_pose_ || !obs.tracking_ok) return;
@@ -796,7 +303,7 @@ std::size_t EdgeISPipeline::transmit(
   in.new_areas = &new_areas;
   in.cfrs_enabled = config_.enable_cfrs;
   in.full_quality = full_quality;
-  in.congestion = rto_.congestion();
+  in.congestion = ledger_.rto().congestion();
   predict_uplink_warp(obs, in);
   enc::UplinkPlan plan = uplink_encoder_->plan(in);
 
@@ -815,38 +322,20 @@ std::size_t EdgeISPipeline::transmit(
     req.use_roi_pruning = !req.priors.empty();
   }
 
-  // A fresh request supersedes any listen-only survivors of a degraded
-  // episode: their answer, if it ever comes, would now be older than this
-  // keyframe. Only now do they count as failed.
-  std::erase_if(ledger_, [&](const LedgerEntry& e) {
-    if (!e.abandoned) return false;
-    ++health_.requests_failed;
-    bump(live_.requests_failed);
-    if (tracer_ != nullptr) {
-      tracer_->instant(rt::track::kLedger, "superseded", now_ms,
-                       {{"request", e.request_id}});
-    }
-    return true;
-  });
-
-  LedgerEntry entry;
-  entry.request_id = frame.index;
-  entry.frame_index = frame.index;
-  entry.request = std::move(req);
+  std::size_t bytes = plan.encoded.total_bytes;
+  EdgeServer::CanvasUpload canvas;
+  rt::LinkHealthStats& health = ledger_.health();
   if (config_.encoding.uplink == enc::UplinkMode::kDelta) {
     // Honest wire accounting: serialize the actual protocol message
     // (codec framing, tile table, epoch chain, priors) and charge its
     // framed size — the delta savings must survive the real encoding.
     std::vector<net::KeyframeMessage::Prior> wire_priors;
-    std::vector<mask::Box> wire_areas;
-    if (config_.enable_ciia && !full_frame_refresh_) {
-      for (const auto& p : priors) {
-        const auto box = *p.mask.bounding_box();
-        wire_priors.push_back(
-            {box.x0, box.y0, box.x1, box.y1, p.class_id, p.instance_id});
-      }
-      wire_areas = new_areas;
+    for (const auto& p : req.priors) {
+      const auto& b = p.initial_box;
+      wire_priors.push_back(
+          {b.x0, b.y0, b.x1, b.y1, p.class_id, p.instance_id});
     }
+    const std::vector<mask::Box>& wire_areas = req.new_areas;
     if (plan.is_delta) {
       net::DeltaKeyframeMessage msg;
       msg.frame_index = frame.index;
@@ -867,34 +356,27 @@ std::size_t EdgeISPipeline::transmit(
       msg.tile_payload_bytes = plan.encoded.total_bytes;
       msg.priors = wire_priors;
       msg.new_areas = wire_areas;
-      entry.bytes = net::Codec::wire_bytes(msg);
-      entry.canvas = std::move(plan.delta);
-      ++health_.canvas_deltas;
-      bump(live_.canvas_deltas);
-      health_.canvas_tiles_sent += plan.tiles_sent;
-      health_.canvas_tiles_reused += plan.tiles_reused;
+      bytes = net::Codec::wire_bytes(msg);
+      canvas = std::move(plan.delta);
+      ++health.canvas_deltas;
+      health.canvas_tiles_sent += plan.tiles_sent;
+      health.canvas_tiles_reused += plan.tiles_reused;
     } else {
       net::KeyframeMessage msg =
           net::build_keyframe_message(plan.encoded, wire_priors, wire_areas);
       msg.canvas_epoch = plan.epoch;
-      entry.bytes = net::Codec::wire_bytes(msg);
-      entry.canvas = EdgeServer::CanvasFull{std::move(plan.encoded),
-                                            plan.epoch};
-      ++health_.canvas_full_keyframes;
-      health_.canvas_tiles_sent += plan.tiles_sent;
+      bytes = net::Codec::wire_bytes(msg);
+      canvas = EdgeServer::CanvasFull{std::move(plan.encoded), plan.epoch};
+      ++health.canvas_full_keyframes;
+      health.canvas_tiles_sent += plan.tiles_sent;
     }
-  } else {
-    entry.bytes = plan.encoded.total_bytes;
   }
-  const std::size_t tx_bytes = entry.bytes;
-  ++health_.requests_sent;
-  bump(live_.requests_sent);
-  send_attempt(entry, now_ms);
-  ledger_.push_back(std::move(entry));
+  ledger_.submit(frame.index, /*is_init=*/false, bytes, std::move(req),
+                 std::move(canvas), now_ms);
   last_tx_frame_ = frame.index;
   last_tx_pose_ = obs.t_cw;
   have_last_tx_pose_ = obs.tracking_ok;
-  return tx_bytes;
+  return bytes;
 }
 
 FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
@@ -911,9 +393,9 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   // never overlap. Tracing must not perturb the run: it reads state but
   // never touches the RNG or the cost model.
   const double span_begin_ms = std::max(now_ms, trace_frame_end_ms_);
-  rt::ScopedSpan frame_span(tracer_, rt::track::kMobile, "frame",
-                            span_begin_ms,
-                            {{"frame", frame.index}, {"degraded", degraded_}});
+  rt::ScopedSpan frame_span(
+      tracer_, rt::track::kMobile, "frame", span_begin_ms,
+      {{"frame", frame.index}, {"degraded", ledger_.degraded()}});
   double stage_start = span_begin_ms;
   auto stage = [&](const char* name, double dur_ms,
                    rt::TraceArgs args = {}) {
@@ -926,8 +408,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     stage_start += dur_ms;
   };
   auto stamp_link_state = [&](FrameOutput& o) {
-    o.awaiting_response = !ledger_.empty();
-    o.degraded = degraded_;
+    o.awaiting_response = ledger_.size() > 0;
+    o.degraded = ledger_.degraded();
     if (last_annotation_ms_ >= 0.0) {
       o.staleness_ms = now_ms - last_annotation_ms_;
     }
@@ -943,46 +425,7 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     }
   };
 
-  if (degraded_) {
-    health_.time_in_degraded_ms += now_ms - prev_frame_ms_;
-    ++health_.degraded_frames;
-    bump(live_.degraded_frames);
-  }
-  // Drain the edge's completed work into the downlink queue in completion
-  // order (the queue's serializer needs admissions in time order), then
-  // deliver whatever the downlink has landed by now.
-  for (auto& r : edge_.poll(now_ms)) {
-    queue_response_with_faults(std::move(r));
-  }
-  deliver_due_responses(now_ms);
-  service_ledger(now_ms);
-  if (degraded_ || rto_.backoff() >= 2) {
-    // Probe for recovery on a fixed cadence: a 64-byte ping instead of a
-    // full keyframe, so an outage costs (almost) nothing to wait out.
-    // The probe starts *before* degraded mode commits — two consecutive
-    // unanswered deadlines already make the link suspect — and rides the
-    // full-duplex uplink queue behind any keyframe still serializing, so
-    // liveness evidence accrues while inference requests are in flight.
-    // The cadence is the only gate: probes are cheap enough that a lost
-    // one must not block the next for its whole (inflated) RTO lifetime.
-    if (frame.index - last_probe_frame_ >= config_.probe_interval_frames) {
-      LedgerEntry ping;
-      ping.request_id = next_ping_id_--;
-      ping.is_ping = true;
-      ping.bytes = 64;
-      ++health_.probes_sent;
-      bump(live_.probes_sent);
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kLedger, "degraded.probe", now_ms,
-                         {{"request", ping.request_id}});
-      }
-      send_attempt(ping, now_ms);
-      ledger_.push_back(std::move(ping));
-      last_probe_frame_ = frame.index;
-      out.tx_bytes += 64;
-    }
-  }
-  prev_frame_ms_ = now_ms;
+  out.tx_bytes += ledger_.advance(frame.index, now_ms);
 
   // ---------------- Mobile front end: ORB extraction. --------------------
   std::vector<feat::Feature> features = orb_.extract(frame.intensity);
@@ -1000,7 +443,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
                               ground_truth_oracle(scene_config_, frame),
                               std::nullopt};
       probe_mid_.reset();
-    } else if (!degraded_ && frame.index - init_ref_->frame_index >= 20 &&
+    } else if (!ledger_.degraded() &&
+               frame.index - init_ref_->frame_index >= 20 &&
                pair_geometry_ok(*init_ref_, frame.index, frame.intensity,
                                 features)) {
       init_pair_second_ = StoredFrame{
@@ -1019,16 +463,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
         const auto encoded = enc::encode_uniform(
             sf->frame_index, req.width, req.height,
             enc::CompressionLevel::kHigh);
-        LedgerEntry entry;
-        entry.request_id = sf->frame_index;
-        entry.frame_index = sf->frame_index;
-        entry.is_init = true;
-        entry.bytes = encoded.total_bytes;
-        entry.request = std::move(req);
-        ++health_.requests_sent;
-        bump(live_.requests_sent);
-        send_attempt(entry, now_ms);
-        ledger_.push_back(std::move(entry));
+        ledger_.submit(sf->frame_index, /*is_init=*/true,
+                       encoded.total_bytes, std::move(req), {}, now_ms);
         out.tx_bytes += encoded.total_bytes;
       }
       out.transmitted = true;
@@ -1087,7 +523,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     map_ = vo::Map{};
     tracker_.reset();
     mamt_.reset();
-    pending_.clear();
     ledger_.clear();  // in-flight responses would land in a dead map
     // Any canvas upload that was in flight is now unaccounted for: the
     // mirror may disagree with the edge, so restart the delta chain.
@@ -1233,24 +668,24 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     // streaming down, the uplink is free again — full duplex lets the
     // next keyframe overlap the remainder of the stream. The ledger — not
     // the delivery queue — is the gate: a chunk lost on the downlink
-    // leaves pending_ empty but the request is still outstanding until
+    // leaves the downlink empty but the request is still outstanding until
     // its timeout, and must not wedge transmission forever.
-    if (has_blocking_request()) want_tx = false;
+    if (ledger_.blocking_requests() > 0) want_tx = false;
     rt::Log::debug(rt::LogSub::kCore,
                    "kf@%d unlab=%.2f last_tx=%d outstanding=%zu want=%d",
                    frame.index, obs.unlabeled_fraction, last_tx_frame_,
                    ledger_.size(), (int)want_tx);
   }
   // Degraded: stop paying transmission cost; MAMT carries the masks.
-  if (degraded_) want_tx = false;
+  if (ledger_.degraded()) want_tx = false;
   // Link recovery refresh: the first opportunity after a ping answered,
   // request a full-quality annotation to clear the accumulated staleness.
-  if (force_refresh_ && !degraded_ && !has_outstanding_request()) {
+  if (force_refresh_ && !ledger_.degraded() &&
+      !ledger_.has_outstanding_request()) {
     want_tx = true;
     full_frame_refresh_ = true;
     force_refresh_ = false;
-    ++health_.refresh_requests;
-    bump(live_.refresh_requests);
+    ++ledger_.health().refresh_requests;
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "recovery_refresh", now_ms, {});
     }
@@ -1264,7 +699,15 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   }
 
   if (want_tx) {
-    auto new_areas = new_area_boxes(obs);
+    // Features matched to not-yet-annotated map points box the "newly
+    // emerging scene" region that needs pixel-level annotation.
+    std::vector<mask::Box> new_areas;
+    if (auto box = matched_feature_box(
+            obs, map_, scene_config_.camera, /*min_count=*/10,
+            /*margin=*/16,
+            [](const vo::MapPoint& p) { return !p.annotated; })) {
+      new_areas.push_back(*box);
+    }
     // With MAMT disabled (ablation), CIIA still needs priors to instruct
     // the edge model: the motion-vector-updated cached masks stand in for
     // transferred masks, as the compared "track+detect" variant would use.
@@ -1288,24 +731,12 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
           if (p.instance_id == instance_id) has_pred = true;
         }
         if (has_pred) continue;
-        mask::Box box{scene_config_.camera.width,
-                      scene_config_.camera.height, 0, 0};
-        int count = 0;
-        for (std::size_t i = 0; i < obs.features.size(); ++i) {
-          const int pid = obs.matched_point_ids[i];
-          if (pid < 0) continue;
-          const vo::MapPoint* mp = map_.find(pid);
-          if (mp == nullptr || mp->object_instance != instance_id) continue;
-          const auto& px = obs.features[i].kp.pixel;
-          box.x0 = std::min(box.x0, static_cast<int>(px.x));
-          box.y0 = std::min(box.y0, static_cast<int>(px.y));
-          box.x1 = std::max(box.x1, static_cast<int>(px.x) + 1);
-          box.y1 = std::max(box.y1, static_cast<int>(px.y) + 1);
-          ++count;
-        }
-        if (count >= 3 && !box.empty()) {
-          new_areas.push_back(box.inflated(48, scene_config_.camera.width,
-                                           scene_config_.camera.height));
+        if (auto box = matched_feature_box(
+                obs, map_, scene_config_.camera, /*min_count=*/3,
+                /*margin=*/48, [&](const vo::MapPoint& p) {
+                  return p.object_instance == instance_id;
+                })) {
+          new_areas.push_back(*box);
         }
       }
     }
@@ -1327,10 +758,7 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   }
 
   if (last_annotation_ms_ >= 0.0) {
-    health_.mask_staleness_ms.add(now_ms - last_annotation_ms_);
-    if (live_.mask_staleness_ms != nullptr) {
-      live_.mask_staleness_ms->add(now_ms - last_annotation_ms_);
-    }
+    ledger_.health().mask_staleness_ms.add(now_ms - last_annotation_ms_);
   }
   prev_features_ = obs.features;
   out.map_memory_bytes = map_.memory_bytes();

@@ -45,9 +45,10 @@ struct FleetConfig {
   /// but a sink is set, an internal silent tracer drives it (events flow
   /// to the sink; nothing is retained). Non-owning.
   rt::Tracer::EventSink* sink = nullptr;
-  /// Live metrics registry shared by every client: ledger counters become
-  /// fleet totals, the staleness sketch pools all clients, and per-client
-  /// SLO gauges land under client<i>. keys. Non-owning; may be null.
+  /// Registry every client's LinkHealthStats is exported into at the end
+  /// of the run: ledger counters become fleet totals, the staleness sketch
+  /// pools all clients, and per-client SLO gauges land under client<i>.
+  /// keys. Non-owning; may be null.
   rt::MetricsRegistry* metrics = nullptr;
   /// Staleness SLO fed to each client's SloTracker.
   double staleness_slo_ms = kStaleThresholdMs;

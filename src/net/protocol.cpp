@@ -24,7 +24,6 @@ void write_priors(rt::ByteWriter& w,
 std::vector<KeyframeMessage::Prior> read_priors(rt::ByteReader& r) {
   std::vector<KeyframeMessage::Prior> priors;
   const auto n = r.get<std::uint32_t>();
-  priors.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     KeyframeMessage::Prior p;
     p.x0 = r.get<std::int32_t>();
@@ -51,7 +50,6 @@ void write_boxes(rt::ByteWriter& w, const std::vector<mask::Box>& boxes) {
 std::vector<mask::Box> read_boxes(rt::ByteReader& r) {
   std::vector<mask::Box> boxes;
   const auto n = r.get<std::uint32_t>();
-  boxes.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     mask::Box b;
     b.x0 = r.get<std::int32_t>();
@@ -209,7 +207,6 @@ DeltaKeyframeMessage MessageTraits<DeltaKeyframeMessage>::read(
   msg.warp_dx_tiles = r.get<std::int16_t>();
   msg.warp_dy_tiles = r.get<std::int16_t>();
   const auto n = r.get<std::uint32_t>();
-  msg.tiles.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     DeltaKeyframeMessage::SentTile t;
     t.index = r.get<std::uint16_t>();

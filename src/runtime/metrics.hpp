@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runtime/rng.hpp"
@@ -438,6 +439,43 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, QuantileSketch> histograms_;
 };
+
+/// Export one session's link health into `reg`: the 19 ledger counters
+/// (added, so per-client calls on one registry sum), the RTO estimator's
+/// srtt/rto end state as gauges (the last call wins), and the
+/// mask-staleness samples into one sketch. Called once per session at the
+/// end of the run, so the registry can never drift from LinkHealthStats.
+inline void export_link_health(const LinkHealthStats& h,
+                               MetricsRegistry& reg) {
+  const std::pair<const char*, int> counters[] = {
+      {"requests_sent", h.requests_sent},
+      {"retransmissions", h.retransmissions},
+      {"attempt_timeouts", h.attempt_timeouts},
+      {"requests_failed", h.requests_failed},
+      {"responses_received", h.responses_received},
+      {"stale_responses", h.stale_responses},
+      {"spurious_retransmissions", h.spurious_retransmissions},
+      {"chunks_received", h.chunks_received},
+      {"duplicate_chunks", h.duplicate_chunks},
+      {"partial_applies", h.partial_applies},
+      {"resend_requests", h.resend_requests},
+      {"admission_rejects", h.admission_rejects},
+      {"busy_pings", h.busy_pings},
+      {"probes_sent", h.probes_sent},
+      {"degraded_entries", h.degraded_entries},
+      {"degraded_frames", h.degraded_frames},
+      {"refresh_requests", h.refresh_requests},
+      {"canvas_deltas", h.canvas_deltas},
+      {"canvas_resyncs", h.canvas_resyncs},
+  };
+  for (const auto& [name, value] : counters) {
+    reg.counter_handle(name).add(value);
+  }
+  reg.gauge_handle("srtt_ms").set(h.srtt_ms);
+  reg.gauge_handle("rto_ms").set(h.rto_ms);
+  QuantileSketch& staleness = reg.sketch_handle("mask_staleness_ms");
+  for (double x : h.mask_staleness_ms.samples()) staleness.add(x);
+}
 
 namespace detail {
 

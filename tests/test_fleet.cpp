@@ -379,3 +379,89 @@ TEST(FleetAdmission, SaturationDrivesDegradedModeAndRecovery) {
   // rather than staying parked forever.
   EXPECT_GT(recovered + refreshes, 0);
 }
+
+// ---------------------------------------------------------------------------
+// Metrics export: the registry a fleet run fills is LinkHealthStats, written
+// once per client at the end of the run — never a second, drifting count.
+
+namespace {
+
+/// The ledger counters every session exports, keyed as in the registry.
+const std::pair<const char*, int rt::LinkHealthStats::*> kExportedCounters[] =
+    {
+        {"requests_sent", &rt::LinkHealthStats::requests_sent},
+        {"retransmissions", &rt::LinkHealthStats::retransmissions},
+        {"attempt_timeouts", &rt::LinkHealthStats::attempt_timeouts},
+        {"requests_failed", &rt::LinkHealthStats::requests_failed},
+        {"responses_received", &rt::LinkHealthStats::responses_received},
+        {"stale_responses", &rt::LinkHealthStats::stale_responses},
+        {"spurious_retransmissions",
+         &rt::LinkHealthStats::spurious_retransmissions},
+        {"chunks_received", &rt::LinkHealthStats::chunks_received},
+        {"duplicate_chunks", &rt::LinkHealthStats::duplicate_chunks},
+        {"partial_applies", &rt::LinkHealthStats::partial_applies},
+        {"resend_requests", &rt::LinkHealthStats::resend_requests},
+        {"admission_rejects", &rt::LinkHealthStats::admission_rejects},
+        {"busy_pings", &rt::LinkHealthStats::busy_pings},
+        {"probes_sent", &rt::LinkHealthStats::probes_sent},
+        {"degraded_entries", &rt::LinkHealthStats::degraded_entries},
+        {"degraded_frames", &rt::LinkHealthStats::degraded_frames},
+        {"refresh_requests", &rt::LinkHealthStats::refresh_requests},
+        {"canvas_deltas", &rt::LinkHealthStats::canvas_deltas},
+        {"canvas_resyncs", &rt::LinkHealthStats::canvas_resyncs},
+};
+
+}  // namespace
+
+TEST(FleetMetrics, ExportMatchesLinkHealthAfterOutageToEnd) {
+  // LTE, 30% loss, a throttle, then an outage that lasts to the end: the
+  // run ends with the RTO inflated by timeouts and never sampled again.
+  const auto scene_cfg = scene::make_davis_scene(42, 180);
+  PipelineConfig cfg;
+  cfg.link = net::lte();
+  net::FaultScript script = net::FaultScript::lossy(0.3);
+  script.add({1000.0, 2500.0, net::FaultMode::kThrottle, 1.0, 0.0, 6.0});
+  script.add({3500.0, 1e18, net::FaultMode::kOutage});
+  cfg.faults = script;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    cfg.seed = seed;
+    rt::MetricsRegistry reg;
+    auto fleet = uniform_fleet(1, scene_cfg, cfg);
+    fleet.metrics = &reg;
+    const auto r = run_fleet(fleet);
+    ASSERT_EQ(r.clients.size(), 1u);
+    const auto& h = r.clients[0].health;
+    EXPECT_GT(h.attempt_timeouts, 0);
+    EXPECT_EQ(reg.gauge("rto_ms"), h.rto_ms);
+    EXPECT_EQ(reg.gauge("srtt_ms"), h.srtt_ms);
+    for (const auto& [name, field] : kExportedCounters) {
+      EXPECT_EQ(reg.counter(name), h.*field) << name;
+    }
+    const auto* staleness = reg.histogram("mask_staleness_ms");
+    ASSERT_NE(staleness, nullptr);
+    EXPECT_EQ(staleness->count(), h.mask_staleness_ms.count());
+  }
+}
+
+TEST(FleetMetrics, CountersAreSumsOfClientLinkHealth) {
+  const auto scene_cfg = scene::make_davis_scene(42, 150);
+  const auto cfg = fast_failure_config();
+  rt::MetricsRegistry reg;
+  auto fleet = uniform_fleet(2, scene_cfg, cfg);
+  fleet.clients[0].pipeline.faults = net::FaultScript::outage(2000.0, 3500.0);
+  fleet.metrics = &reg;
+  const auto r = run_fleet(fleet);
+  ASSERT_EQ(r.clients.size(), 2u);
+  for (const auto& [name, field] : kExportedCounters) {
+    EXPECT_EQ(reg.counter(name),
+              r.clients[0].health.*field + r.clients[1].health.*field)
+        << name;
+  }
+  EXPECT_GT(reg.counter("attempt_timeouts"), 0.0);
+  const auto* staleness = reg.histogram("mask_staleness_ms");
+  ASSERT_NE(staleness, nullptr);
+  EXPECT_EQ(staleness->count(),
+            r.clients[0].health.mask_staleness_ms.count() +
+                r.clients[1].health.mask_staleness_ms.count());
+}

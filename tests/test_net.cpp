@@ -658,3 +658,244 @@ TEST(Codec, CorruptMagicAndVersionRejected) {
   EXPECT_THROW(Codec::decode<DeltaKeyframeMessage>(bad_version),
                rt::DeserializeError);
 }
+
+// ---- Codec mutation harness. ------------------------------------------------
+// Every registered decoder, fed truncated, bit-flipped or count-corrupted
+// bytes of seeded sample messages, must return a value or throw
+// rt::DeserializeError: never another exception and never a crash. The
+// sanitizer CI job runs the same cases for undefined behaviour.
+
+namespace {
+
+constexpr std::size_t kFrameHeader = 6;  // magic u32 + version u8 + tag u8
+
+/// A length or count field of an encoded message: byte offset and width.
+struct CountField {
+  std::size_t offset;
+  std::size_t width;
+};
+
+MaskResultMessage::Instance random_instance(rt::Rng& rng) {
+  MaskResultMessage::Instance inst;
+  inst.class_id = static_cast<std::int32_t>(rng.uniform_int(8));
+  inst.instance_id = static_cast<std::int32_t>(rng.uniform_int(64));
+  const auto n = 3 + rng.uniform_int(20);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    inst.xs.push_back(static_cast<std::uint16_t>(rng.uniform_int(640)));
+    inst.ys.push_back(static_cast<std::uint16_t>(rng.uniform_int(480)));
+  }
+  return inst;
+}
+
+/// Offsets of an instance's two vertex-list counts, starting at `o`;
+/// returns the offset just past the instance.
+std::size_t instance_fields(const MaskResultMessage::Instance& inst,
+                            std::size_t o, std::vector<CountField>& fields) {
+  o += 8;  // class_id, instance_id
+  fields.push_back({o, 4});
+  o += 4 + 2 * inst.xs.size();
+  fields.push_back({o, 4});
+  return o + 4 + 2 * inst.ys.size();
+}
+
+std::vector<KeyframeMessage::Prior> random_priors(rt::Rng& rng) {
+  std::vector<KeyframeMessage::Prior> priors;
+  const auto n = 1 + rng.uniform_int(3);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    priors.push_back({static_cast<std::int32_t>(rng.uniform_int(320)),
+                      static_cast<std::int32_t>(rng.uniform_int(240)), 400,
+                      300, static_cast<std::int32_t>(rng.uniform_int(8)),
+                      static_cast<std::int32_t>(rng.uniform_int(32))});
+  }
+  return priors;
+}
+
+std::vector<mask::Box> random_boxes(rt::Rng& rng) {
+  std::vector<mask::Box> boxes;
+  const auto n = 1 + rng.uniform_int(2);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    boxes.push_back({0, 0, static_cast<int>(1 + rng.uniform_int(639)),
+                     static_cast<int>(1 + rng.uniform_int(479))});
+  }
+  return boxes;
+}
+
+std::vector<std::uint64_t> corrupt_values(const CountField& f,
+                                          std::uint64_t original) {
+  switch (f.width) {
+    case 1:
+      return {0, 1, 2, 0xFF};
+    case 2:
+      return {0, 1, original + 1, 0x7FFF, 0xFFFF};
+    default:
+      return {0,          1,          original - 1, original + 1,
+              0xFFFF,     0x7FFFFFFF, 0x80000000,   0xFFFFFFFF};
+  }
+}
+
+template <typename M>
+void expect_value_or_deserialize_error(std::span<const std::uint8_t> bytes,
+                                       const char* what) {
+  try {
+    (void)Codec::decode<M>(bytes);
+  } catch (const rt::DeserializeError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << MessageTraits<M>::kName << ", " << what
+                  << ": threw something other than DeserializeError: "
+                  << e.what();
+  }
+}
+
+/// Truncation at every length, 200 seeded single-bit flips, and each count
+/// field overwritten with boundary values. `fields` must cover the whole
+/// encoding up to `end` (checked, so a layout drift fails loudly).
+template <typename M>
+void mutate(const M& msg, const std::vector<CountField>& fields,
+            std::size_t end, std::uint64_t seed) {
+  SCOPED_TRACE(MessageTraits<M>::kName);
+  const auto bytes = Codec::encode(msg);
+  ASSERT_EQ(end, bytes.size()) << "count-field layout out of date";
+  ASSERT_EQ(Codec::decode<M>(bytes), msg);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(Codec::decode<M>(std::span(bytes.data(), len)),
+                 rt::DeserializeError)
+        << "prefix " << len;
+  }
+  rt::Rng rng(seed);
+  for (int i = 0; i < 200; ++i) {
+    auto flipped = bytes;
+    const auto bit = rng.uniform_int(bytes.size() * 8);
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_value_or_deserialize_error<M>(flipped, "bit flip");
+  }
+  for (const auto& f : fields) {
+    std::uint64_t original = 0;
+    for (std::size_t b = 0; b < f.width; ++b) {
+      original |= std::uint64_t{bytes[f.offset + b]} << (8 * b);
+    }
+    for (std::uint64_t v : corrupt_values(f, original)) {
+      auto corrupt = bytes;
+      for (std::size_t b = 0; b < f.width; ++b) {
+        corrupt[f.offset + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      }
+      expect_value_or_deserialize_error<M>(corrupt, "count field");
+    }
+  }
+}
+
+void mutate_keyframe(rt::Rng& rng, std::uint64_t seed) {
+  KeyframeMessage m;
+  m.frame_index = static_cast<std::int32_t>(rng.uniform_int(10'000));
+  m.width = 640;
+  m.height = 480;
+  const auto tiles = 4 + rng.uniform_int(12);
+  for (std::uint64_t i = 0; i < tiles; ++i) {
+    m.tile_classes.push_back(static_cast<std::uint8_t>(rng.uniform_int(4)));
+    m.tile_levels.push_back(static_cast<std::uint8_t>(rng.uniform_int(4)));
+  }
+  m.tile_payload_bytes = 900 * tiles;
+  m.canvas_epoch = static_cast<std::uint32_t>(rng.uniform_int(100));
+  m.priors = random_priors(rng);
+  m.new_areas = random_boxes(rng);
+  std::vector<CountField> fields;
+  std::size_t o = kFrameHeader + 13;  // frame, width, height, tile_size
+  fields.push_back({o, 4});
+  o += 4 + tiles;
+  fields.push_back({o, 4});
+  o += 4 + tiles + 8 + 4;  // levels, payload bytes, canvas epoch
+  fields.push_back({o, 4});
+  o += 4 + 24 * m.priors.size();
+  fields.push_back({o, 4});
+  o += 4 + 16 * m.new_areas.size();
+  mutate(m, fields, o, seed);
+}
+
+void mutate_delta_keyframe(rt::Rng& rng, std::uint64_t seed) {
+  DeltaKeyframeMessage m;
+  m.frame_index = static_cast<std::int32_t>(rng.uniform_int(10'000));
+  m.width = 640;
+  m.height = 480;
+  m.epoch = static_cast<std::uint32_t>(1 + rng.uniform_int(100));
+  m.base_epoch = m.epoch - 1;
+  m.warp_dx_tiles = static_cast<std::int16_t>(rng.uniform_int(5)) - 2;
+  const auto tiles = 1 + rng.uniform_int(20);
+  for (std::uint64_t i = 0; i < tiles; ++i) {
+    m.tiles.push_back({static_cast<std::uint16_t>(rng.uniform_int(80)),
+                       static_cast<std::uint8_t>(rng.uniform_int(4)),
+                       static_cast<std::uint8_t>(rng.uniform_int(4))});
+  }
+  m.tile_payload_bytes = 37 * tiles;
+  m.priors = random_priors(rng);
+  m.new_areas = random_boxes(rng);
+  std::vector<CountField> fields;
+  // frame, width, height, tile_size, epoch, base_epoch, warp dx/dy
+  std::size_t o = kFrameHeader + 25;
+  fields.push_back({o, 4});
+  o += 4 + 4 * tiles + 8;
+  fields.push_back({o, 4});
+  o += 4 + 24 * m.priors.size();
+  fields.push_back({o, 4});
+  o += 4 + 16 * m.new_areas.size();
+  mutate(m, fields, o, seed);
+}
+
+void mutate_mask_result(rt::Rng& rng, std::uint64_t seed) {
+  MaskResultMessage m;
+  m.frame_index = static_cast<std::int32_t>(rng.uniform_int(10'000));
+  m.width = 640;
+  m.height = 480;
+  const auto n = 1 + rng.uniform_int(3);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    m.instances.push_back(random_instance(rng));
+  }
+  std::vector<CountField> fields;
+  std::size_t o = kFrameHeader + 12;
+  fields.push_back({o, 4});
+  o += 4;
+  for (const auto& inst : m.instances) o = instance_fields(inst, o, fields);
+  mutate(m, fields, o, seed);
+}
+
+void mutate_mask_chunk(rt::Rng& rng, std::uint64_t seed) {
+  MaskChunkMessage m;
+  m.frame_index = static_cast<std::int32_t>(rng.uniform_int(10'000));
+  m.width = 640;
+  m.height = 480;
+  m.chunk_count = static_cast<std::uint16_t>(2 + rng.uniform_int(6));
+  m.chunk_index = static_cast<std::uint16_t>(rng.uniform_int(m.chunk_count));
+  m.instances.push_back(random_instance(rng));
+  std::vector<CountField> fields;
+  std::size_t o = kFrameHeader + 12;
+  fields.push_back({o, 2});      // chunk_index
+  fields.push_back({o + 2, 2});  // chunk_count
+  fields.push_back({o + 4, 1});  // has-instance flag
+  o = instance_fields(m.instances.front(), o + 5, fields);
+  mutate(m, fields, o, seed);
+}
+
+void mutate_resend(rt::Rng& rng, std::uint64_t seed) {
+  ResendRequestMessage m;
+  m.frame_index = static_cast<std::int32_t>(rng.uniform_int(10'000));
+  const auto n = 1 + rng.uniform_int(6);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    m.chunk_indices.push_back(static_cast<std::int32_t>(rng.uniform_int(8)));
+  }
+  const std::size_t o = kFrameHeader + 4;
+  mutate(m, {{o, 4}}, o + 4 + 4 * n, seed);
+}
+
+}  // namespace
+
+TEST(CodecMutation, EveryDecoderReturnsOrThrowsDeserializeError) {
+  // One mutator per registered type; a new message type must add its own.
+  ASSERT_EQ(registered_message_types().size(), 5u);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    rt::Rng rng(seed);
+    mutate_keyframe(rng, seed);
+    mutate_delta_keyframe(rng, seed);
+    mutate_mask_result(rng, seed);
+    mutate_mask_chunk(rng, seed);
+    mutate_resend(rng, seed);
+  }
+}
